@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import EmptyInput, LengthMismatch, NegativeValue, Overflow
+from .errors import EmptyInput, LengthMismatch, NegativeValue, Overflow, TooLarge
 
 MAX_N = 64
 """Vector lengths are capped by the bitmask encoding."""
@@ -114,13 +114,19 @@ class Instance:
 
 
 def normalize_instance(raw: Sequence[int]) -> Instance:
-    """Sort weights non-increasingly (stable on ties) and record the permutation."""
+    """Sort weights non-increasingly (stable on ties) and record the permutation.
+
+    Raises ``TooLarge`` beyond ``MAX_N`` weights, the length of a sign-vector
+    bitmask, and ``Overflow`` for a weight or total of 2**63 or more.
+    """
     try:
         values = [operator.index(v) for v in raw]
     except TypeError as exc:
         raise NegativeValue(f"weights must be integers: {exc}") from None
     if not values:
         raise EmptyInput("an instance needs at least one weight")
+    if len(values) > MAX_N:
+        raise TooLarge(f"an instance holds at most {MAX_N} weights, got {len(values)}")
     total = 0
     for v in values:
         if v < 0:

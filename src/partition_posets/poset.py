@@ -31,7 +31,7 @@ from .errors import (
 ENUM_MAX_N = 24
 DAG_MAX_N = {"P": 14, "Q": 16}
 WIDTH_MAX_NODES = 5000
-_TABLE_MAX_N = 20  # vectorized membership tables cached up to here
+_TABLE_MAX_N = 24  # vectorized membership tables built up to here
 
 
 class PosetKind(Enum):
@@ -45,21 +45,34 @@ class PosetKind(Enum):
 # membership and rank
 
 
-@lru_cache(maxsize=None)
-def _prefix_extrema(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mask min and max running sum over all 2**n masks (int8 arrays)."""
-    if not 1 <= n <= _TABLE_MAX_N:
-        raise ValueError(f"tables kept for 1 <= n <= {_TABLE_MAX_N}")
+def _half_extrema(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Final sum, min and max running sum over all 2**n masks (int8 arrays);
+    the extrema of the empty prefix are sentinels that any step overwrites."""
     s = np.zeros(1, dtype=np.int8)
-    mn = np.full(1, 127, dtype=np.int8)   # sentinels; first step overwrites
+    mn = np.full(1, 127, dtype=np.int8)
     mx = np.full(1, -127, dtype=np.int8)
     for _ in range(n):
         lo, hi = s - 1, s + 1
         mn = np.concatenate([np.minimum(mn, lo), np.minimum(mn, hi)])
         mx = np.concatenate([np.maximum(mx, lo), np.maximum(mx, hi)])
         s = np.concatenate([lo, hi])
-    mn.setflags(write=False)
-    mx.setflags(write=False)
+    return s, mn, mx
+
+
+def _prefix_extrema(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mask min and max running sum over all 2**n masks (int8 arrays).
+
+    Mask ``hi << h | lo`` runs through the low half's sums, then the high
+    half's shifted by the low half's final sum, so both extrema are an outer
+    combination of two 2**(n/2) tables.
+    """
+    if not 1 <= n <= _TABLE_MAX_N:
+        raise ValueError(f"tables kept for 1 <= n <= {_TABLE_MAX_N}")
+    h = n // 2
+    s_lo, mn_lo, mx_lo = _half_extrema(h)
+    _, mn_hi, mx_hi = _half_extrema(n - h)
+    mn = np.minimum(mn_lo[None, :], s_lo[None, :] + mn_hi[:, None]).ravel()
+    mx = np.maximum(mx_lo[None, :], s_lo[None, :] + mx_hi[:, None]).ravel()
     return mn, mx
 
 
@@ -238,13 +251,11 @@ def iter_poset(n: int, kind: PosetKind, *, force: bool = False) -> Iterator[Sign
             yield SignVector(n, mask)
         return
     if n <= _TABLE_MAX_N:
-        mn, mx = _prefix_extrema(n)
         if kind is PosetKind.Q:
-            sel = (mn < 0) & (mx > 0)
-        elif kind is PosetKind.R_PLUS:
-            sel = mn >= 0
+            sel = _q_membership_table(n)
         else:
-            sel = mx <= 0
+            mn, mx = _prefix_extrema(n)
+            sel = mn >= 0 if kind is PosetKind.R_PLUS else mx <= 0
         for mask in np.nonzero(sel)[0]:
             yield SignVector(n, int(mask))
     else:

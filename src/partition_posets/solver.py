@@ -211,8 +211,15 @@ def solve_pruned(inst: Instance) -> Solution:
     to their Q-covers; their own |delta| needs no recording since the negation
     lies above a recorded node.  |delta| is congruent to the total mod 2, so a
     recorded value equal to that parity is optimal and stops the search
-    early.  The frontier pops least-negative delta first, which reaches the
-    nonnegative boundary quickly; any processing order gives the same value.
+    early.  The frontier pops least-negative delta first (ties by smaller
+    mask), which reaches the nonnegative boundary quickly; any processing
+    order gives the same value.  Each popped node offers its addition cover,
+    then its swap covers in ascending bit order, and ``nodes_visited`` counts
+    pops plus nonnegative minimal elements.
+
+    Each call copies the cached 2**n-byte Q(n) table (16 MB at n = 24) into a
+    bytearray whose nonzero entries are the Q members not reached yet, so one
+    index answers both membership and the seen-set test.
     """
     n = inst.n
     if n < 3:
@@ -220,69 +227,69 @@ def solve_pruned(inst: Instance) -> Solution:
     if n > PRUNED_MAX_N:
         raise TooLarge(f"pruned search is capped at n = {PRUNED_MAX_N}")
     c = inst.c
-    total = inst.total
-    parity = total & 1
-    if n <= _TABLE_MAX_N:
-        in_q = _q_membership_table(n)
-
-        def is_q(mask: int) -> bool:
-            return bool(in_q[mask])
-
-    else:
-
-        def is_q(mask: int) -> bool:
-            return membership(SignVector(n, mask)) is PosetKind.Q
-
+    parity = inst.total & 1
+    full = (1 << n) - 1
     top_bit = 1 << (n - 1)
-    swap_zone = (1 << (n - 1)) - 1
-    best_d: int | None = None
+    swap_zone = top_bit - 1
+    # A heap key is (-d << n) | mask, which pops in the order of (-d, mask)
+    # tuples because mask < 2**n.  A cover shifts the mask (the addition by
+    # +top_bit, the swap at bits (b, 2b) by -b) and raises delta by a fixed
+    # gain, so its key is the parent's plus a constant step per cover.
+    add_step = top_bit - (2 * c[n - 1] << n)
+    swap_step = {1 << i: -(1 << i) - (2 * (c[i] - c[i + 1]) << n) for i in range(n - 1)}
+    fresh = bytearray(_q_membership_table(n))  # in Q(n) and not reached yet
+    best_d = inst.total + 1  # above every delta
     best_mask = -1
     visited = 0
-    seen = set()
-    heap: list[tuple[int, int]] = []  # (-delta, mask): least-negative first
-
-    def record(mask: int, d: int) -> bool:
-        nonlocal best_d, best_mask
-        if best_d is None or (d, mask) < (best_d, best_mask):
-            best_d, best_mask = d, mask
-        return best_d == parity
-
-    done = False
+    heap: list[int] = []
+    push, pop = heapq.heappush, heapq.heappop
     for k in range((n - 1) // 2 + 1):
         mask = _min_element_mask(n, k)
-        seen.add(mask)
+        fresh[mask] = 0
         d = _mask_delta(inst, mask)
-        if d >= 0:
-            visited += 1
-            if record(mask, d):
-                done = True
-                break
-        else:
-            heapq.heappush(heap, (-d, mask))
-    while heap and not done:
-        neg_d, mask = heapq.heappop(heap)
+        if d < 0:
+            push(heap, (-d << n) | mask)
+            continue
         visited += 1
-        d = -neg_d
-        covers = []
+        if d < best_d or (d == best_d and mask < best_mask):
+            best_d, best_mask = d, mask
+            if d == parity:
+                heap.clear()
+                break
+    # Each popped node offers its addition cover, then its swap covers in
+    # ascending bit order; a cover key above `full` has negative delta.
+    while heap:
+        key = pop(heap)
+        visited += 1
+        mask = key & full
         if not mask & top_bit:
-            covers.append((mask | top_bit, d + 2 * c[n - 1]))
+            w = mask | top_bit
+            if fresh[w]:
+                fresh[w] = 0
+                wkey = key + add_step
+                if wkey > full:
+                    push(heap, wkey)
+                elif (d := -(wkey >> n)) < best_d or (d == best_d and w < best_mask):
+                    best_d, best_mask = d, w
+                    if d == parity:
+                        heap.clear()
+                        continue
         pat = ~mask & (mask >> 1) & swap_zone
         while pat:
             b = pat & -pat
-            i = b.bit_length() - 1
-            covers.append((mask ^ (b | b << 1), d + 2 * (c[i] - c[i + 1])))
-            pat &= pat - 1
-        for w, dw in covers:
-            if w in seen or not is_q(w):
-                continue
-            seen.add(w)
-            if dw >= 0:
-                if record(w, dw):
-                    done = True
-                    break
-            else:
-                heapq.heappush(heap, (-dw, w))
-    if best_d is None:
+            pat ^= b
+            w = mask - b
+            if fresh[w]:
+                fresh[w] = 0
+                wkey = key + swap_step[b]
+                if wkey > full:
+                    push(heap, wkey)
+                elif (d := -(wkey >> n)) < best_d or (d == best_d and w < best_mask):
+                    best_d, best_mask = d, w
+                    if d == parity:
+                        heap.clear()
+                        break
+    if best_mask < 0:
         raise AssertionError("Q(n) has no nonnegative-delta element; impossible")
     return _make_solution(inst, best_mask, best_d, "pruned", visited)
 

@@ -6,6 +6,7 @@ deliberately separate from the library's bit tricks and DP tables.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 
@@ -126,3 +127,77 @@ def dominance(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     da = sorted(a, reverse=True)
     db = sorted(b, reverse=True)
     return len(da) <= len(db) and all(x <= y for x, y in zip(da, db))
+
+
+def pruned_ascent(values: list[int]) -> tuple[tuple[int, ...], int, int]:
+    """The dominance-pruned ascent over Q(n), spelled out naively.
+
+    Weights are sorted non-increasingly (stable on ties).  The frontier holds
+    (-delta, mask) tuples and starts from the minimal elements of Q(n) (k
+    minus signs, k + 1 plus signs, then minus signs); a popped node offers the
+    addition cover (last entry -1 -> +1), then its adjacent (-1, +1) swaps
+    from the left, keeping those that ``classify`` puts in Q and that were not
+    reached before.  Nonnegative nodes are recorded as (delta, mask) and never
+    expanded, and a recorded delta equal to total mod 2 stops the search.
+    Returns the best subset as sorted 1-based input positions, its delta, and
+    the count of pops plus nonnegative minimal elements.
+    """
+    order = sorted(range(len(values)), key=lambda k: (-values[k], k))
+    c = [values[k] for k in order]
+    n, total = len(c), sum(c)
+
+    def mask_of(entries):
+        return sum(1 << i for i, e in enumerate(entries) if e == 1)
+
+    def delta_of(mask):
+        return sum(w * e for w, e in zip(c, entries_of(mask, n)))
+
+    def covers(mask):
+        e = list(entries_of(mask, n))
+        out = []
+        if e[-1] == -1:
+            out.append(mask_of(e[:-1] + [1]))
+        for i in range(n - 1):
+            if (e[i], e[i + 1]) == (-1, 1):
+                out.append(mask_of(e[:i] + [1, -1] + e[i + 2:]))
+        return [w for w in out if classify(entries_of(w, n)) == "Q"]
+
+    best = None
+    visited = 0
+    seen = set()
+    heap = []
+
+    def record(mask, d):
+        nonlocal best
+        if best is None or (d, mask) < best:
+            best = (d, mask)
+        return best[0] == total % 2
+
+    done = False
+    for k in range((n - 1) // 2 + 1):
+        mask = mask_of([-1] * k + [1] * (k + 1) + [-1] * (n - 2 * k - 1))
+        seen.add(mask)
+        d = delta_of(mask)
+        if d >= 0:
+            visited += 1
+            if record(mask, d):
+                done = True
+                break
+        else:
+            heapq.heappush(heap, (-d, mask))
+    while heap and not done:
+        _, mask = heapq.heappop(heap)
+        visited += 1
+        for w in covers(mask):
+            if w in seen:
+                continue
+            seen.add(w)
+            dw = delta_of(w)
+            if dw >= 0:
+                if record(w, dw):
+                    done = True
+                    break
+            else:
+                heapq.heappush(heap, (-dw, w))
+    d, mask = best
+    return tuple(sorted(order[i] + 1 for i in range(n) if mask >> i & 1)), d, visited

@@ -85,6 +85,14 @@ def test_solve_guard_violation_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_more_than_64_weights_exits_2(tmp_path, capsys):
+    # 70 weights with no certificate once reached SignVector(70) and a traceback
+    path = write(tmp_path, " ".join(map(str, range(1, 71))) + "\n")
+    for algo in ("auto", "corollary"):
+        assert main(["solve", path, "--algo", algo]) == 2
+        assert "at most 64 weights" in capsys.readouterr().err
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["solve"]) == 2
     assert main(["bogus-command"]) == 2

@@ -12,6 +12,7 @@ from partition_posets import (
     NegativeValue,
     Overflow,
     SignVector,
+    TooLarge,
     SubsetRef,
     delta,
     diff_vector,
@@ -65,6 +66,14 @@ def test_normalize_errors():
         normalize_instance([1 << 63])
     with pytest.raises(Overflow):
         normalize_instance([(1 << 62), (1 << 62)])
+
+
+def test_normalize_rejects_more_weights_than_a_bitmask_holds():
+    assert normalize_instance(list(range(1, 65))).n == 64
+    with pytest.raises(TooLarge):
+        normalize_instance(list(range(1, 66)))
+    with pytest.raises(TooLarge):
+        normalize_instance(list(range(1, 71)))
 
 
 # ---------------------------------------------------------------------------

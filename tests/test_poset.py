@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -85,6 +86,21 @@ def test_membership_trichotomy_exhaustive():
         for mask in range(1 << n):
             v = SignVector(n, mask)
             assert membership(v).value == oracles.classify(v.entries)
+
+
+def test_q_membership_table_matches_classify():
+    from partition_posets.poset import _q_membership_table
+
+    for n in range(1, 13):
+        table = _q_membership_table(n)
+        expected = [oracles.classify(oracles.entries_of(m, n)) == "Q" for m in range(1 << n)]
+        assert table.tolist() == expected
+    rng = random.Random(29)
+    for n in range(21, 25):
+        table = _q_membership_table(n)
+        assert len(table) == 1 << n
+        for mask in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(2000)]:
+            assert table[mask] == (oracles.classify(oracles.entries_of(mask, n)) == "Q")
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,42 @@ def test_pruned_agrees_with_brute_and_bounds():
         assert sol.nodes_visited <= q_size(n) // 2 + n_minimal
 
 
+PRUNED_FAMILIES = {
+    "uniform": lambda rng, n: [rng.randint(0, 1000) for _ in range(n)],
+    "ties_zeros": lambda rng, n: [rng.choice((0, 0, 5, 5, 10)) for _ in range(n)],
+    "bits62": lambda rng, n: [rng.randrange(1 << 61, 1 << 62) // n for _ in range(n)],
+    "phase": lambda rng, n: [rng.randrange(1, 1 << (n + 4)) for _ in range(n)],
+}
+
+
+def test_pruned_matches_naive_ascent():
+    # same traversal as the reference: subset, delta and pop count all agree
+    rng = random.Random(97)
+    stops = sweeps = 0
+    for name, draw in PRUNED_FAMILIES.items():
+        for n in range(3, 15):
+            for _ in range(3):
+                raw = draw(rng, n)
+                sol = solve_pruned(normalize_instance(raw))
+                ref = oracles.pruned_ascent(raw)
+                assert (sol.subset.indices, sol.delta, sol.nodes_visited) == ref, (name, raw)
+                if sol.abs_delta == sum(raw) % 2:
+                    stops += 1
+                else:
+                    sweeps += 1
+    assert stops > 20 and sweeps > 20
+
+
+@pytest.mark.parametrize("n", [21, 22, 24])
+def test_pruned_matches_naive_ascent_above_20(n):
+    # sizes that once took the per-mask membership path; the parity stop fires
+    rng = random.Random(n)
+    raw = [rng.randint(0, 1000) for _ in range(n)]
+    sol = solve_pruned(normalize_instance(raw))
+    assert (sol.subset.indices, sol.delta, sol.nodes_visited) == oracles.pruned_ascent(raw)
+    assert sol.abs_delta == sum(raw) % 2 and sol.nodes_visited < 100
+
+
 def test_pruned_guards():
     with pytest.raises(TooSmall):
         solve_pruned(inst_of(1, 2))
