@@ -558,11 +558,8 @@ def _check_dominance(n: int) -> CheckResult:
 def _check_graded(n: int) -> CheckResult:
     ps = _psums_matrix(n)
     idx = np.nonzero(np.asarray(_q_membership_table(n)))[0]
-    sub_ps = ps[idx].astype(np.int32)
-    le = np.empty((len(idx), len(idx)), dtype=bool)
-    for i in range(len(idx)):
-        le[i] = np.all(sub_ps[i] <= sub_ps, axis=1)
-    strict = le & ~np.eye(len(idx), dtype=bool)
+    sub_ps = ps[idx]
+    strict = _leq_matrix(sub_ps) & ~np.eye(len(idx), dtype=bool)
     covers = _reduction_matrix(strict)
     # P-rank from prefix sums: their total equals the weighted entry sum
     t = n * (n + 1) // 2

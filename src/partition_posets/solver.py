@@ -17,19 +17,18 @@ import numpy as np
 from .core import Instance, SignVector, SubsetRef, delta, negate
 from .errors import TooLarge, TooSmall, UnknownAlgorithm
 from .poset import (
-    PosetKind,
     _max_element_mask,
     _min_element_mask,
     _q_membership_table,
     apply_addition,
     apply_swap,
-    membership,
+    membership,  # not called here: bench/tracing.py wraps solver.membership
 )
 
 BRUTE_MAX_N = 24
 PRUNED_MAX_N = 24
 DP_MAX_CELLS = 10**8
-_TABLE_MAX_N = 20
+_BLOCK_BITS = 20  # the enumeration scans 2**20-delta (8 MB) blocks
 
 ALGORITHMS = ("brute", "dp", "qenum", "pruned", "minfast", "corollary", "auto")
 
@@ -49,7 +48,6 @@ class Solution:
     abs_delta: int
     algorithm: str
     nodes_visited: int
-    optimal: bool
 
 
 def _delta_table(c: tuple[int, ...]) -> np.ndarray:
@@ -83,7 +81,6 @@ def _make_solution(
         abs_delta=abs(d),
         algorithm=algorithm,
         nodes_visited=nodes_visited,
-        optimal=True,
     )
 
 
@@ -91,40 +88,43 @@ def _make_solution(
 # oracles
 
 
+def _scan_blocks(inst: Instance, q_rows: np.ndarray | None = None) -> tuple[int, int, int]:
+    """Smallest |delta| over the first-entry-+1 masks, in Q(n) when ``q_rows``
+    (the Q table as rows of 2**h masks) is given; returns (mask, delta, scanned).
+
+    With h = min(n, 20), mask ``t << h | lo`` has delta ``lows[lo] + tops[t]``
+    (partial sums stay below the total, so int64 is exact).  Blocks are
+    scanned in ascending t and only a strictly smaller |delta| replaces the
+    best, so ties resolve to the smallest mask.
+    """
+    h = min(inst.n, _BLOCK_BITS)
+    lows = _delta_table(inst.c[:h])
+    tops = _delta_table(inst.c[h:])  # at most 2**4 entries
+    odd = np.arange(1, 1 << h, 2)
+    best_mask, best_delta = 0, inst.total + 1  # above every |delta|
+    scanned = 0
+    for t, top in enumerate(tops.tolist()):
+        # every Q row holds lo = 1, whose running sums go +1, 0, -1
+        lo = odd if q_rows is None else odd[q_rows[t, 1::2]]
+        d = lows[lo] + top
+        i = int(np.argmin(np.abs(d)))
+        scanned += len(lo)
+        if abs(int(d[i])) < abs(best_delta):
+            best_mask, best_delta = t << h | int(lo[i]), int(d[i])
+    return best_mask, best_delta, scanned
+
+
 def solve_brute(inst: Instance) -> Solution:
     """Scan the 2^(n-1) sign patterns whose first entry is +1.
 
     Every unordered partition has exactly one such representative because
-    negation flips the first entry; |delta| ties resolve to the smallest
-    bitmask.
+    negation flips the first entry.  Patterns are scanned in blocks of 2**20
+    by ascending mask; |delta| ties resolve to the smallest bitmask.
     """
-    n = inst.n
-    if n > BRUTE_MAX_N:
+    if inst.n > BRUTE_MAX_N:
         raise TooLarge(f"brute force is capped at n = {BRUTE_MAX_N}")
-    if n <= _TABLE_MAX_N:
-        dt = _delta_table(inst.c)
-        odd = np.abs(dt[1::2])
-        i = int(np.argmin(odd))
-        mask = 2 * i + 1
-        return _make_solution(inst, mask, int(dt[mask]), "brute", 1 << (n - 1))
-    # beyond table range: split-table scan, O(1) per pattern
-    h = n // 2
-    lows = [0]
-    for ci in inst.c[:h]:
-        lows += [s + ci for s in lows]
-    highs = [0]
-    for ci in inst.c[h:]:
-        highs += [s + ci for s in highs]
-    total = inst.total
-    best_abs = best_mask = best_delta = None
-    for hi_mask, hi_sum in enumerate(highs):
-        base = hi_mask << h
-        for lo_mask in range(1, 1 << h, 2):
-            s = hi_sum + lows[lo_mask]
-            d = s - (total - s)
-            if best_abs is None or abs(d) < best_abs:
-                best_abs, best_mask, best_delta = abs(d), base | lo_mask, d
-    return _make_solution(inst, best_mask, best_delta, "brute", 1 << (n - 1))
+    mask, d, scanned = _scan_blocks(inst)
+    return _make_solution(inst, mask, d, "brute", scanned)
 
 
 def solve_dp(inst: Instance) -> Solution:
@@ -173,33 +173,18 @@ def solve_q_enum(inst: Instance) -> Solution:
     """Enumerate one representative per complementary pair in Q(n).
 
     Q(n) carries a representative of every optimal partition, so scanning its
-    first-entry-+1 members (half the poset) is exact.
+    first-entry-+1 members (half the poset) is exact.  They are read from the
+    cached Q table in blocks of 2**20 masks by ascending mask; |delta| ties
+    resolve to the smallest bitmask.
     """
     n = inst.n
     if n < 3:
         raise TooSmall("Q(n) is empty for n < 3")
     if n > BRUTE_MAX_N:
         raise TooLarge(f"enumeration is capped at n = {BRUTE_MAX_N}")
-    if n <= _TABLE_MAX_N:
-        in_q = np.asarray(_q_membership_table(n))
-        dt = _delta_table(inst.c)
-        ks = np.nonzero(in_q[1::2])[0]
-        masks = 2 * ks + 1
-        vals = np.abs(dt[masks])
-        i = int(np.argmin(vals))
-        mask = int(masks[i])
-        return _make_solution(inst, mask, int(dt[mask]), "qenum", len(masks))
-    best = None
-    examined = 0
-    for mask in range(1, 1 << n, 2):
-        if membership(SignVector(n, mask)) is not PosetKind.Q:
-            continue
-        examined += 1
-        d = _mask_delta(inst, mask)
-        if best is None or abs(d) < abs(best[0]):
-            best = (d, mask)
-    d, mask = best
-    return _make_solution(inst, mask, d, "qenum", examined)
+    q_rows = _q_membership_table(n).reshape(-1, 1 << min(n, _BLOCK_BITS))
+    mask, d, scanned = _scan_blocks(inst, q_rows)
+    return _make_solution(inst, mask, d, "qenum", scanned)
 
 
 def solve_pruned(inst: Instance) -> Solution:

@@ -6,6 +6,7 @@ deliberately separate from the library's bit tricks and DP tables.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 
@@ -119,6 +120,28 @@ def min_abs_delta(values: list[int]) -> int:
     for pick in itertools.product((0, 1), repeat=len(values)):
         s = sum(v for v, p in zip(values, pick) if p)
         best = min(best, abs(2 * s - total))
+    return best
+
+
+def min_abs_delta_halves(values: list[int]) -> int:
+    """Optimal |delta| by matching subset sums of the two halves of the values
+    (Horowitz & Sahni): for each left sum, the nearest right sums to half the
+    remainder."""
+    def sums(part):
+        out = [0]
+        for v in part:
+            out += [s + v for s in out]
+        return out
+
+    total = sum(values)
+    h = len(values) // 2
+    right = sorted(sums(values[h:]))
+    best = total
+    for s in sums(values[:h]):
+        gap = total - 2 * s  # want 2 * r as close to gap as possible
+        i = bisect.bisect_left(right, (gap + 1) // 2)
+        for r in right[max(i - 1, 0) : i + 1]:
+            best = min(best, abs(gap - 2 * r))
     return best
 
 

@@ -53,6 +53,7 @@ def test_solve_json_round_trip(tmp_path, capsys):
     assert set(payload) >= {"n", "total", "algo", "abs_delta", "delta", "subset",
                             "nodes_visited"}
     assert payload["n"] == 4 and payload["total"] == 16
+    assert payload["optimal"] is True
     total = sum(raw)
     s = sum(raw[i - 1] for i in payload["subset"])
     assert 2 * s - total == payload["delta"]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from partition_posets import (
     solve_pruned,
     solve_q_enum,
 )
+from partition_posets.poset import _q_membership_table
 from partition_posets.solver import _delta_table
 
 import oracles
@@ -69,23 +71,6 @@ def test_brute_reports_original_indices():
     sol = solve_brute(normalize_instance(raw))
     assert recompute(raw, sol.subset) == sol.delta
     assert sol.abs_delta == oracles.min_abs_delta(raw)
-
-
-def test_brute_split_table_path_agrees():
-    # exercise the beyond-table scan on a small n by comparing both routes
-    from partition_posets import solver
-
-    rng = random.Random(5)
-    raw = [rng.randint(0, 500) for _ in range(8)]
-    inst = normalize_instance(raw)
-    reference = solve_brute(inst)
-    old = solver._TABLE_MAX_N
-    solver._TABLE_MAX_N = 4
-    try:
-        split = solve_brute(inst)
-    finally:
-        solver._TABLE_MAX_N = old
-    assert (split.abs_delta, split.subset) == (reference.abs_delta, reference.subset)
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +357,68 @@ def test_zero_weights_resolved_deterministically():
     assert sol_a.subset.indices == (1,)
 
 
-def test_beyond_table_paths_agree(monkeypatch):
-    # force the generic code paths that normally run only for n > 20
-    from partition_posets import solver
+def _one_shot_scan(inst):
+    # reference: argmin over the whole 2**n delta table in one shot
+    dt = _delta_table(inst.c)
+    brute_mask = 2 * int(np.argmin(np.abs(dt[1::2]))) + 1
+    q_masks = 2 * np.nonzero(_q_membership_table(inst.n)[1::2])[0] + 1
+    q_mask = int(q_masks[np.argmin(np.abs(dt[q_masks]))])
+    return brute_mask, int(dt[brute_mask]), q_mask, int(dt[q_mask]), len(q_masks)
 
-    rng = random.Random(3)
-    raws = [[rng.randint(0, 400) for _ in range(7)] for _ in range(10)]
-    expected = [solve_brute(normalize_instance(raw)).abs_delta for raw in raws]
-    monkeypatch.setattr(solver, "_TABLE_MAX_N", 4)
-    for raw, ref in zip(raws, expected):
-        inst = normalize_instance(raw)
-        assert solver.solve_q_enum(inst).abs_delta == ref
-        assert solver.solve_pruned(inst).abs_delta == ref
-        assert solver.solve_brute(inst).abs_delta == ref
+
+def _outcome(inst, mask, d, visited):
+    subset = tuple(sorted(inst.perm[i] for i in range(inst.n) if mask >> i & 1))
+    return subset, d, visited
+
+
+def test_halves_oracle_matches_subset_scan():
+    rng = random.Random(41)
+    for name, draw in PRUNED_FAMILIES.items():
+        for n in range(1, 11):
+            raw = draw(rng, n)
+            assert oracles.min_abs_delta_halves(raw) == oracles.min_abs_delta(raw), (name, raw)
+
+
+def test_beyond_table_paths_agree():
+    # n > 20 scans several 2**20-mask blocks; the ties-and-zeros family puts
+    # optima in every block, so the smallest-mask tie-break crosses blocks
+    for n in (21, 22, 24):
+        for name in ("uniform", "ties_zeros", "bits62"):
+            raw = PRUNED_FAMILIES[name](random.Random(100 + n), n)
+            inst = normalize_instance(raw)
+            brute, qenum = solve_brute(inst), solve_q_enum(inst)
+            got = [(s.subset.indices, s.delta, s.nodes_visited) for s in (brute, qenum)]
+            if n < 24:
+                b_mask, b_d, q_mask, q_d, q_count = _one_shot_scan(inst)
+                assert got == [
+                    _outcome(inst, b_mask, b_d, 1 << (n - 1)),
+                    _outcome(inst, q_mask, q_d, q_count),
+                ], (n, name)
+                continue
+            if name == "bits62":  # beyond the DP cell cap
+                expected = oracles.min_abs_delta_halves(raw)
+            else:
+                expected = solve_dp(inst).abs_delta
+            assert brute.abs_delta == qenum.abs_delta == expected, name
+            assert brute.nodes_visited == 1 << (n - 1)
+            assert qenum.nodes_visited == q_size(n) // 2
+            for sol in (brute, qenum):
+                assert recompute(raw, sol.subset) == sol.delta
+
+
+def test_block_scan_memory_is_flat():
+    # 2**20-delta blocks keep the peak near 20 MB; a one-shot 2**24 table
+    # would need about 320 MB
+    inst = normalize_instance(PRUNED_FAMILIES["bits62"](random.Random(7), 24))
+    _q_membership_table(24)  # the cached table is not part of the scan
+    for scan in (solve_brute, solve_q_enum):
+        tracemalloc.start()
+        try:
+            scan(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, (scan.__name__, peak)
 
 
 def test_full_sweep_on_hard_instances():
