@@ -3,7 +3,8 @@
 Subcommands: ``solve`` an instance file, ``profile`` a poset's exact rank
 structure, ``hasse`` export a cover DAG as deterministic DOT, and ``verify``
 run the structural / counting / solver cross-checks.  Exit codes: 0 success,
-1 verification failure, 2 usage, parse, or guard error.
+1 verification failure, 2 usage, parse, or guard error, 3 internal error (an
+unexpected exception, reported in one line instead of a traceback).
 """
 
 from __future__ import annotations
@@ -284,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug: never exit 1, which means a check failed
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

@@ -492,9 +492,7 @@ def _check_iso(n: int) -> CheckResult:
     for mask in range(size):
         row = [n - b for b in range(n) if mask >> b & 1]
         padded[mask, : len(row)] = row
-    dom = np.empty((size, size), dtype=bool)
-    for i in range(size):
-        dom[i] = np.all(padded[i] <= padded, axis=1)
+    dom = _leq_matrix(padded)
     if not np.array_equal(le, dom):
         i, j = np.argwhere(le != dom)[0]
         a = SignVector(n, int(i))

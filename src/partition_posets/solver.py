@@ -10,11 +10,13 @@ the same optimal |delta|; subsets are reported in the original input order.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Instance, SignVector, SubsetRef, delta, negate
+from .counting import q_size
 from .errors import TooLarge, TooSmall, UnknownAlgorithm
 from .poset import (
     _max_element_mask,
@@ -205,6 +207,13 @@ def solve_pruned(inst: Instance) -> Solution:
     Each call copies the cached 2**n-byte Q(n) table (16 MB at n = 24) into a
     bytearray whose nonzero entries are the Q members not reached yet, so one
     index answers both membership and the seen-set test.
+
+    Unless the parity stop fires, the ascent pops every negative element of
+    Q(n), which is exactly half of it (see ``_full_sweep``).  So after
+    ``4 << n // 2`` pops it computes the optimum by meet-in-the-middle, in
+    O(2**(n/2)) extra memory: if the parity stop is still to come, the ascent
+    resumes; otherwise it returns the sweep's outcome, ``nodes_visited``
+    included, without running the sweep.
     """
     n = inst.n
     if n < 3:
@@ -243,7 +252,11 @@ def solve_pruned(inst: Instance) -> Solution:
                 break
     # Each popped node offers its addition cover, then its swap covers in
     # ascending bit order; a cover key above `full` has negative delta.
+    nonneg_minimal = visited
+    check_at = nonneg_minimal + (4 << n // 2)
     while heap:
+        if visited == check_at and (swept := _full_sweep(inst)) is not None:
+            return _make_solution(inst, *swept, "pruned", q_size(n) // 2 + nonneg_minimal)
         key = pop(heap)
         visited += 1
         mask = key & full
@@ -277,6 +290,61 @@ def solve_pruned(inst: Instance) -> Solution:
     if best_mask < 0:
         raise AssertionError("Q(n) has no nonnegative-delta element; impossible")
     return _make_solution(inst, best_mask, best_d, "pruned", visited)
+
+
+def _full_sweep(inst: Instance) -> tuple[int, int] | None:
+    """The (mask, delta) that ``solve_pruned``'s ascent ends with, or None
+    when its parity stop will fire.
+
+    Q(n) is convex in P(n) and delta never decreases along covers, so every
+    negative element of Q(n) is reached through negative ones: without the
+    parity stop the ascent pops all of them, and records exactly the
+    nonnegative elements of Q(n) that are minimal or have a negative lower
+    cover in Q(n).  The optimum v* comes from the sorted signed sums of the
+    low n // 2 weights, searched for each sum of the high ones (Horowitz &
+    Sahni).  If v* equals the total's parity, the ascent stops on it;
+    otherwise no element has delta 0, negation halves Q(n), and the answer
+    is the smallest recorded mask with delta v*, found by listing the masks
+    with that delta in ascending order.
+    """
+    n, c = inst.n, inst.c
+    h = n // 2
+    lows, highs = _delta_table(c[:h]).tolist(), _delta_table(c[h:]).tolist()
+    order = sorted(range(1 << h), key=lows.__getitem__)  # stable: ties by mask
+    keys = [lows[lo] for lo in order]
+    best = inst.total
+    for hd in highs:  # the nearest low sums on either side of -hd
+        i = bisect_left(keys, -hd)
+        if i < len(keys) and keys[i] + hd < best:
+            best = keys[i] + hd
+        if i and -hd - keys[i - 1] < best:
+            best = -hd - keys[i - 1]
+    if best == inst.total & 1:
+        return None
+    q = _q_membership_table(n)
+    minimal = {_min_element_mask(n, k) for k in range((n - 1) // 2 + 1)}
+    # the lower covers that undo a move whose delta gain exceeds v*, so that
+    # they are negative: the addition (gain 2 c[n-1]) clears the top bit, and
+    # the swap at bits (j, j + 1) (gain 2 (c[j] - c[j+1])) turns 1, 0 into 0, 1
+    add_bit = 1 << (n - 1) if 2 * c[n - 1] > best else 0
+    swaps = sum(1 << j for j in range(n - 1) if 2 * (c[j] - c[j + 1]) > best)
+    for t, hd in enumerate(highs):
+        target = best - hd
+        i = bisect_left(keys, target)
+        while i < len(keys) and keys[i] == target:
+            w = t << h | order[i]
+            i += 1
+            if not q[w]:
+                continue
+            if w in minimal or (w & add_bit and q[w ^ add_bit]):
+                return w, best
+            pat = w & ~(w >> 1) & swaps
+            while pat:
+                b = pat & -pat
+                if q[w + b]:
+                    return w, best
+                pat ^= b
+    raise AssertionError("no recorded element of Q(n) has the optimal delta")
 
 
 # ---------------------------------------------------------------------------

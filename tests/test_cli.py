@@ -209,6 +209,20 @@ def test_verify_skip_reported(capsys):
     assert by_name["chains"]["status"] == "skip"
 
 
+def test_unexpected_exception_exits_3(monkeypatch, tmp_path, capsys):
+    # a bug reports one line and exit 3, never a traceback or exit 1
+    from partition_posets import cli
+
+    def broken_solve(inst, algo):
+        raise AssertionError("injected bug")
+
+    monkeypatch.setattr(cli.solver, "solve", broken_solve)
+    assert main(["solve", write(tmp_path, "10 6 5 2\n")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: AssertionError: injected bug\n"
+
+
 def test_verify_failure_exits_1(monkeypatch, capsys):
     from partition_posets import cli
     from partition_posets.poset import CheckResult

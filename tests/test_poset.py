@@ -103,6 +103,30 @@ def test_q_membership_table_matches_classify():
             assert table[mask] == (oracles.classify(oracles.entries_of(mask, n)) == "Q")
 
 
+def test_q_lower_covers_and_complement_lemma():
+    # the two facts behind solve_pruned's closed-form sweep count: Q(n) is
+    # closed under complement, and an element of Q(n) with anything of Q(n)
+    # below it has a lower cover in Q(n)
+    import numpy as np
+
+    from partition_posets.poset import _leq_matrix, _psums_matrix, _q_membership_table
+
+    for n in range(3, 13):
+        q = _q_membership_table(n)
+        assert np.array_equal(q, q[::-1])  # the complement of mask m is 2**n - 1 - m
+        idx = np.nonzero(q)[0]
+        strict = _leq_matrix(_psums_matrix(n)[idx]) & ~np.eye(len(idx), dtype=bool)
+        has_lower = strict.any(axis=0)
+        top_bit = 1 << (n - 1)
+        for j, w in enumerate(idx.tolist()):
+            # the lower covers as solve_pruned spells them: the addition
+            # undone, and each swap undone at bits (i, i + 1) holding (1, 0)
+            downs = [w ^ top_bit] if w & top_bit else []
+            downs += [w + (1 << i) for i in range(n - 1) if (w >> i) & 3 == 1]
+            assert sorted(downs) == sorted(v.mask for v in lower_covers(SignVector(n, w)))
+            assert any(q[u] for u in downs) == has_lower[j], (n, w)
+
+
 # ---------------------------------------------------------------------------
 # covers
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_posets import (
     PosetKind,
@@ -25,6 +27,7 @@ from partition_posets import (
     solve_pruned,
     solve_q_enum,
 )
+from partition_posets import solver
 from partition_posets.poset import _q_membership_table
 from partition_posets.solver import _delta_table
 
@@ -166,22 +169,50 @@ def test_pruned_agrees_with_brute_and_bounds():
         assert sol.nodes_visited <= q_size(n) // 2 + n_minimal
 
 
+def _parity_gap(rng, n):
+    # multiples of 5 with an odd multiplier sum: the optimum is at least 5
+    # while the parity bound is 1, so the parity stop never fires
+    m = [rng.randint(0, 20) for _ in range(n)]
+    m[0] += 1 - sum(m) % 2
+    return [5 * x for x in m]
+
+
 PRUNED_FAMILIES = {
     "uniform": lambda rng, n: [rng.randint(0, 1000) for _ in range(n)],
     "ties_zeros": lambda rng, n: [rng.choice((0, 0, 5, 5, 10)) for _ in range(n)],
     "bits62": lambda rng, n: [rng.randrange(1 << 61, 1 << 62) // n for _ in range(n)],
     "phase": lambda rng, n: [rng.randrange(1, 1 << (n + 4)) for _ in range(n)],
+    "parity_gap": _parity_gap,
 }
 
 
-def test_pruned_matches_naive_ascent():
-    # same traversal as the reference: subset, delta and pop count all agree
+def _spy_full_sweep(monkeypatch):
+    # records what each call of solve_pruned's closed-form check returned
+    outcomes = []
+    full_sweep = solver._full_sweep
+
+    def spy(inst):
+        outcomes.append(full_sweep(inst))
+        return outcomes[-1]
+
+    monkeypatch.setattr(solver, "_full_sweep", spy)
+    return outcomes
+
+
+def test_pruned_matches_naive_ascent(monkeypatch):
+    # same traversal as the reference: subset, delta and pop count all agree,
+    # for each way a call ends after 4 << n // 2 pops: the parity stop before
+    # the check, the parity stop after it (the ascent resumes), or the full
+    # sweep answered in closed form
+    outcomes = _spy_full_sweep(monkeypatch)
     rng = random.Random(97)
     stops = sweeps = 0
+    seen = set()
     for name, draw in PRUNED_FAMILIES.items():
         for n in range(3, 15):
             for _ in range(3):
                 raw = draw(rng, n)
+                outcomes.clear()
                 sol = solve_pruned(normalize_instance(raw))
                 ref = oracles.pruned_ascent(raw)
                 assert (sol.subset.indices, sol.delta, sol.nodes_visited) == ref, (name, raw)
@@ -189,7 +220,68 @@ def test_pruned_matches_naive_ascent():
                     stops += 1
                 else:
                     sweeps += 1
+                if not outcomes:
+                    if sol.abs_delta == sum(raw) % 2:
+                        seen.add("stop before the check")
+                elif outcomes == [None]:
+                    assert sol.abs_delta == sum(raw) % 2
+                    seen.add("stop after the check")
+                else:
+                    assert outcomes == [(outcomes[0][0], sol.delta)] and sol.delta > sum(raw) % 2
+                    seen.add("closed-form sweep")
     assert stops > 20 and sweeps > 20
+    assert seen == {"stop before the check", "stop after the check", "closed-form sweep"}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(PRUNED_FAMILIES)),
+    st.integers(3, 14),
+    st.randoms(use_true_random=False),
+)
+def test_pruned_matches_naive_ascent_property(family, n, rng):
+    # the families of the seeded test, drawn at random
+    raw = PRUNED_FAMILIES[family](rng, n)
+    sol = solve_pruned(normalize_instance(raw))
+    assert (sol.subset.indices, sol.delta, sol.nodes_visited) == oracles.pruned_ascent(raw)
+
+
+@pytest.mark.parametrize("name", ["phase", "parity_gap"])
+@pytest.mark.parametrize("n", [16, 21, 24])
+def test_pruned_full_sweep_in_closed_form(n, name, monkeypatch):
+    # instances without the parity stop, answered by the check: the naive
+    # ascent at n = 16 is the reference, above it brute and the count formula
+    outcomes = _spy_full_sweep(monkeypatch)
+    raw = PRUNED_FAMILIES[name](random.Random(n), n)
+    inst = normalize_instance(raw)
+    sol = solve_pruned(inst)
+    assert len(outcomes) == 1 and outcomes[0] is not None
+    assert sol.abs_delta > inst.total % 2
+    if n == 16:
+        assert (sol.subset.indices, sol.delta, sol.nodes_visited) == oracles.pruned_ascent(raw)
+        return
+    assert sol.delta == solve_brute(inst).abs_delta
+    assert recompute(raw, sol.subset) == sol.delta
+    nonneg_minimal = sum(delta(v, inst) >= 0 for v in extremes(n).minimal)
+    assert sol.nodes_visited == q_size(n) // 2 + nonneg_minimal
+
+
+def test_pruned_closed_form_at_every_n():
+    # the closed form on its own, also at n where solve_pruned's budget
+    # outlasts the sweep; the listed instances each need one of its tests
+    # (candidate in Q, the swap or the addition undone landing in Q)
+    rng = random.Random(151)
+    cases = [[3, 0, 3, 3], [22, 22, 28, 1, 28, 8, 30], [22, 17, 22, 9, 23]]
+    cases += [[rng.randint(0, 30) for _ in range(rng.randint(3, 10))] for _ in range(400)]
+    for raw in cases:
+        inst = normalize_instance(raw)
+        subset, d, visited = oracles.pruned_ascent(raw)
+        got = solver._full_sweep(inst)
+        if d == inst.total % 2:
+            assert got is None, raw
+            continue
+        nonneg_minimal = sum(delta(v, inst) >= 0 for v in extremes(inst.n).minimal)
+        assert _outcome(inst, *got, q_size(inst.n) // 2 + nonneg_minimal) == (subset, d, visited), raw
 
 
 @pytest.mark.parametrize("n", [21, 22, 24])
