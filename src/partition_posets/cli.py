@@ -121,14 +121,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def render_dot(dag: poset.HasseDag) -> str:
     """Deterministic DOT text: sign-string node ids, one rank per layer."""
     lines = [f'digraph "{dag.kind.value}{dag.n}" {{', "  rankdir=LR;", "  node [shape=box];"]
-    by_rank: dict[int, list] = {}
+    label = {v.mask: f'"{v.sign_string()}"' for v in dag.nodes}
+    by_rank: dict[int, list[str]] = {}
     for v in dag.nodes:  # nodes are in ascending bitmask order
-        by_rank.setdefault(dag.rank_of[v], []).append(v)
+        by_rank.setdefault(dag.rank_of[v], []).append(label[v.mask] + ";")
     for r in sorted(by_rank):
-        ids = " ".join(f'"{v.sign_string()}";' for v in by_rank[r])
-        lines.append(f"  {{ rank=same; {ids} }}")
-    for v, w in sorted(dag.edges, key=lambda e: (e[0].mask, e[1].mask)):
-        lines.append(f'  "{v.sign_string()}" -> "{w.sign_string()}";')
+        lines.append(f"  {{ rank=same; {' '.join(by_rank[r])} }}")
+    # build_hasse emits edges in ascending (mask, mask) order
+    lines.extend(f"  {label[v.mask]} -> {label[w.mask]};" for v, w in dag.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -9,7 +9,6 @@ last entry up, and swapping an adjacent (-1, +1) pair.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -77,7 +76,7 @@ def _prefix_extrema(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _q_membership_table(n: int) -> np.ndarray:
+def q_membership_table(n: int) -> np.ndarray:
     """Boolean array over all masks: True exactly for members of Q(n)."""
     mn, mx = _prefix_extrema(n)
     table = (mn < 0) & (mx > 0)
@@ -103,16 +102,15 @@ def membership(v: SignVector) -> PosetKind:
 
 
 def rank(v: SignVector, kind: PosetKind = PosetKind.P) -> int:
-    """Graded rank with minimum 0: the weighted sum against (n, n-1, ..., 1),
-    normalized; the Q rank is the P rank shifted down by n."""
+    """Graded rank with minimum 0: the P rank is the sum of n - i over the +1
+    entries at 0-based positions i; the Q rank is the P rank shifted down by n."""
     n = v.n
     if kind is PosetKind.Q:
         if membership(v) is not PosetKind.Q:
             raise NotInPoset(f"{v!r} is not in Q({n})")
     elif kind is not PosetKind.P:
         raise ValueError("rank is defined for kinds P and Q")
-    dot = sum((n - i) if v.mask >> i & 1 else -(n - i) for i in range(n))
-    rho = (dot + n * (n + 1) // 2) // 2
+    rho = sum(n - i for i in range(n) if v.mask >> i & 1)
     return rho if kind is PosetKind.P else rho - n
 
 
@@ -188,14 +186,14 @@ class Extremes:
         return (self.n - 1) // 2
 
 
-def _max_element_mask(n: int, k: int) -> int:
-    # k ones, then k+1 minus-ones, then ones to the end
+def max_element_mask(n: int, k: int) -> int:
+    """Maximal element k of Q(n): k ones, then k+1 minus-ones, then ones."""
     head = (1 << k) - 1
     return head | (((1 << (n - 2 * k - 1)) - 1) << (2 * k + 1))
 
 
-def _min_element_mask(n: int, k: int) -> int:
-    # k minus-ones, then k+1 ones, then minus-ones to the end
+def min_element_mask(n: int, k: int) -> int:
+    """Minimal element k of Q(n): k minus-ones, then k+1 ones, then minus-ones."""
     return ((1 << (k + 1)) - 1) << k
 
 
@@ -204,7 +202,7 @@ def extremes(n: int) -> Extremes:
     if n < 3:
         raise TooSmall(f"Q({n}) is empty")
     ell = (n - 1) // 2
-    maximal = tuple(SignVector(n, _max_element_mask(n, k)) for k in range(ell + 1))
+    maximal = tuple(SignVector(n, max_element_mask(n, k)) for k in range(ell + 1))
     minimal = tuple(negate(v) for v in maximal)
     return Extremes(n=n, maximal=maximal, minimal=minimal)
 
@@ -252,7 +250,7 @@ def iter_poset(n: int, kind: PosetKind, *, force: bool = False) -> Iterator[Sign
         return
     if n <= _TABLE_MAX_N:
         if kind is PosetKind.Q:
-            sel = _q_membership_table(n)
+            sel = q_membership_table(n)
         else:
             mn, mx = _prefix_extrema(n)
             sel = mn >= 0 if kind is PosetKind.R_PLUS else mx <= 0
@@ -267,7 +265,11 @@ def iter_poset(n: int, kind: PosetKind, *, force: bool = False) -> Iterator[Sign
 
 @dataclass(frozen=True, eq=False)
 class HasseDag:
-    """Cover-relation DAG of P(n) or Q(n); treat as immutable once built."""
+    """Cover-relation DAG of P(n) or Q(n); treat as immutable once built.
+
+    Nodes are in ascending bitmask order and edges in ascending
+    (lower mask, upper mask) order; each edge holds the node objects.
+    """
 
     kind: PosetKind
     n: int
@@ -280,7 +282,9 @@ def build_hasse(n: int, kind: PosetKind, *, force: bool = False) -> HasseDag:
     """Operator-generated covers over the enumerated node set.
 
     For kind Q the same cover operators apply, filtered by membership; that is
-    exact because Q is graded by the same rank function as P.
+    exact because Q is graded by the same rank function as P.  Ranks are read
+    from the masks as in ``rank``: the sum of n - i over the set bits i,
+    shifted down by n for Q.
     """
     if kind not in (PosetKind.P, PosetKind.Q):
         raise ValueError("Hasse DAGs are built for kinds P and Q")
@@ -290,13 +294,16 @@ def build_hasse(n: int, kind: PosetKind, *, force: bool = False) -> HasseDag:
             f"{kind.value}({n}) DAG capped at n = {limit} (force=True overrides)"
         )
     nodes = tuple(iter_poset(n, kind, force=force))
-    node_masks = frozenset(v.mask for v in nodes)
+    node_of = {v.mask: v for v in nodes}
     edges = []
     for v in nodes:
         for m in _cover_masks(v.mask, n):
-            if m in node_masks:
-                edges.append((v, SignVector(n, m)))
-    rank_of = {v: rank(v, kind) for v in nodes}
+            w = node_of.get(m)
+            if w is not None:
+                edges.append((v, w))
+    bits = np.array(list(node_of), dtype=np.int64)[:, None] >> np.arange(n) & 1
+    ranks = bits @ np.arange(n, 0, -1) - (n if kind is PosetKind.Q else 0)
+    rank_of = dict(zip(nodes, ranks.tolist()))
     return HasseDag(kind=kind, n=n, nodes=nodes, edges=tuple(edges), rank_of=rank_of)
 
 
@@ -339,26 +346,38 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> int:
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = pair_v[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_u[u] = v
-                pair_v[v] = u
-                return True
-        dist[u] = inf
+    def dfs(root: int) -> bool:
+        # augmenting path along the BFS layers, without recursion: each
+        # stacked left vertex keeps its own neighbour iterator, and path[i]
+        # is the right vertex that leads from stack[i] to stack[i + 1]
+        stack = [(root, iter(adj[root]))]
+        path: list[int] = []
+        while stack:
+            u, neighbours = stack[-1]
+            for v in neighbours:
+                w = pair_v[v]
+                if w == -1:
+                    path.append(v)
+                    for (x, _), y in zip(stack, path):
+                        pair_u[x] = y
+                        pair_v[y] = x
+                    return True
+                if dist[w] == dist[u] + 1:
+                    path.append(v)
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                dist[u] = inf
+                stack.pop()
+                if path:
+                    path.pop()
         return False
 
     size = 0
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * (n_left + n_right) + 1000))
-    try:
-        while bfs():
-            for u in range(n_left):
-                if pair_u[u] == -1 and dfs(u):
-                    size += 1
-    finally:
-        sys.setrecursionlimit(old_limit)
+    while bfs():
+        for u in range(n_left):
+            if pair_u[u] == -1 and dfs(u):
+                size += 1
     return size
 
 
@@ -422,18 +441,6 @@ class CheckResult:
     detail: str = ""
 
 
-CHECKS = ("covers", "iso", "symmetry", "chains", "dominance", "graded")
-_CHECK_MAX_N = {
-    "covers": 10,
-    "iso": 10,
-    "symmetry": 10,
-    "chains": 16,
-    "dominance": 16,
-    "graded": 10,
-}
-_CHECK_MIN_N = {"chains": 4, "dominance": 3, "graded": 3}
-
-
 @lru_cache(maxsize=8)
 def _psums_matrix(n: int) -> np.ndarray:
     """Running-sum matrix over all masks: row m holds the prefix sums of mask m."""
@@ -452,6 +459,14 @@ def _leq_matrix(ps: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _order_matrix(n: int) -> np.ndarray:
+    """leq over all masks of P(n), shared read-only by the checks (4**n cells)."""
+    le = _leq_matrix(_psums_matrix(n))
+    le.setflags(write=False)
+    return le
+
+
 def _reduction_matrix(strict: np.ndarray) -> np.ndarray:
     # covers = strict pairs with nothing strictly between (boolean matmul)
     through = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0.5
@@ -459,17 +474,10 @@ def _reduction_matrix(strict: np.ndarray) -> np.ndarray:
 
 
 def _check_covers(n: int) -> CheckResult:
-    ps = _psums_matrix(n)
-    le = _leq_matrix(ps)
-    strict = le & ~np.eye(1 << n, dtype=bool)
-    for kind in (PosetKind.P, PosetKind.Q):
-        if kind is PosetKind.Q:
-            idx = np.nonzero(np.asarray(_q_membership_table(n)))[0]
-            sub = strict[np.ix_(idx, idx)]
-        else:
-            idx = np.arange(1 << n)
-            sub = strict
-        expected = set(zip(*np.nonzero(_reduction_matrix(sub))))
+    strict = _order_matrix(n) & ~np.eye(1 << n, dtype=bool)
+    q_idx = np.nonzero(q_membership_table(n))[0]
+    for kind, idx in ((PosetKind.P, np.arange(1 << n)), (PosetKind.Q, q_idx)):
+        expected = set(zip(*np.nonzero(_reduction_matrix(strict[np.ix_(idx, idx)]))))
         dag = build_hasse(n, kind)
         pos = {int(m): i for i, m in enumerate(idx)}
         got = {(pos[v.mask], pos[w.mask]) for v, w in dag.edges}
@@ -485,8 +493,7 @@ def _check_iso(n: int) -> CheckResult:
     from .core import iso_f
 
     size = 1 << n
-    ps = _psums_matrix(n)
-    le = _leq_matrix(ps)
+    le = _order_matrix(n)
     # padded decreasing element lists make dominance a componentwise comparison
     padded = np.zeros((size, n), dtype=np.int8)
     for mask in range(size):
@@ -506,8 +513,7 @@ def _check_iso(n: int) -> CheckResult:
 
 
 def _check_symmetry(n: int) -> CheckResult:
-    ps = _psums_matrix(n)
-    le = _leq_matrix(ps)
+    le = _order_matrix(n)
     neg = np.arange(1 << n)[::-1].copy()  # negation of mask m is fullmask - m
     mirrored = le[np.ix_(neg, neg)].T
     if not np.array_equal(le, mirrored):
@@ -554,10 +560,9 @@ def _check_dominance(n: int) -> CheckResult:
 
 
 def _check_graded(n: int) -> CheckResult:
-    ps = _psums_matrix(n)
-    idx = np.nonzero(np.asarray(_q_membership_table(n)))[0]
-    sub_ps = ps[idx]
-    strict = _leq_matrix(sub_ps) & ~np.eye(len(idx), dtype=bool)
+    idx = np.nonzero(q_membership_table(n))[0]
+    sub_ps = _psums_matrix(n)[idx]
+    strict = _order_matrix(n)[np.ix_(idx, idx)] & ~np.eye(len(idx), dtype=bool)
     covers = _reduction_matrix(strict)
     # P-rank from prefix sums: their total equals the weighted entry sum
     t = n * (n + 1) // 2
@@ -571,14 +576,16 @@ def _check_graded(n: int) -> CheckResult:
     return CheckResult("graded", True)
 
 
-_CHECK_FUNCS = {
-    "covers": _check_covers,
-    "iso": _check_iso,
-    "symmetry": _check_symmetry,
-    "chains": _check_chains,
-    "dominance": _check_dominance,
-    "graded": _check_graded,
+# name -> (check, smallest n it runs at, size guard)
+_CHECK_TABLE = {
+    "covers": (_check_covers, 1, 10),
+    "iso": (_check_iso, 1, 10),
+    "symmetry": (_check_symmetry, 1, 10),
+    "chains": (_check_chains, 4, 16),
+    "dominance": (_check_dominance, 3, 16),
+    "graded": (_check_graded, 3, 10),
 }
+CHECKS = tuple(_CHECK_TABLE)
 
 
 def verify_structure(n: int, checks: Iterable[str] | str = "all") -> list[CheckResult]:
@@ -597,12 +604,11 @@ def verify_structure(n: int, checks: Iterable[str] | str = "all") -> list[CheckR
         names = list(checks)
         explicit = True
         for name in names:
-            if name not in _CHECK_FUNCS:
+            if name not in _CHECK_TABLE:
                 raise UnknownCheck(f"unknown check {name!r}")
     results = []
     for name in names:
-        lo = _CHECK_MIN_N.get(name, 1)
-        hi = _CHECK_MAX_N[name]
+        check, lo, hi = _CHECK_TABLE[name]
         if n < lo:
             results.append(
                 CheckResult(name, True, skipped=True, detail=f"requires n >= {lo}")
@@ -615,5 +621,5 @@ def verify_structure(n: int, checks: Iterable[str] | str = "all") -> list[CheckR
                 CheckResult(name, True, skipped=True, detail=f"capped at n = {hi}")
             )
             continue
-        results.append(_CHECK_FUNCS[name](n))
+        results.append(check(n))
     return results

@@ -15,16 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, SignVector, SubsetRef, delta, negate
+from .core import Instance, SubsetRef
 from .counting import q_size
 from .errors import TooLarge, TooSmall, UnknownAlgorithm
 from .poset import (
-    _max_element_mask,
-    _min_element_mask,
-    _q_membership_table,
-    apply_addition,
-    apply_swap,
+    max_element_mask,
     membership,  # not called here: bench/tracing.py wraps solver.membership
+    min_element_mask,
+    q_membership_table,
 )
 
 BRUTE_MAX_N = 24
@@ -41,8 +39,10 @@ class Solution:
 
     ``subset`` uses original 1-based input positions.  ``nodes_visited``
     counts candidate evaluations: sign patterns scanned by the enumeration
-    solvers, table cells for the DP oracle, frontier nodes processed by the
-    pruned search, extremal elements tested by the fast paths.
+    solvers, table cells for the DP oracle, extremal elements tested by the
+    fast paths.  For the pruned ascent it counts heap pops plus the
+    nonnegative minimal elements; a full sweep answered in closed form
+    counts as its |Q(n)|/2 pops.
     """
 
     subset: SubsetRef
@@ -58,14 +58,6 @@ def _delta_table(c: tuple[int, ...]) -> np.ndarray:
     for ci in c:
         d = np.concatenate([d - ci, d + ci])
     return d
-
-
-def _mask_delta(inst: Instance, mask: int) -> int:
-    s = 0
-    for i in range(inst.n):
-        if mask >> i & 1:
-            s += inst.c[i]
-    return s - (inst.total - s)
 
 
 def _subset_from_mask(inst: Instance, mask: int) -> SubsetRef:
@@ -184,7 +176,7 @@ def solve_q_enum(inst: Instance) -> Solution:
         raise TooSmall("Q(n) is empty for n < 3")
     if n > BRUTE_MAX_N:
         raise TooLarge(f"enumeration is capped at n = {BRUTE_MAX_N}")
-    q_rows = _q_membership_table(n).reshape(-1, 1 << min(n, _BLOCK_BITS))
+    q_rows = q_membership_table(n).reshape(-1, 1 << min(n, _BLOCK_BITS))
     mask, d, scanned = _scan_blocks(inst, q_rows)
     return _make_solution(inst, mask, d, "qenum", scanned)
 
@@ -231,16 +223,16 @@ def solve_pruned(inst: Instance) -> Solution:
     # gain, so its key is the parent's plus a constant step per cover.
     add_step = top_bit - (2 * c[n - 1] << n)
     swap_step = {1 << i: -(1 << i) - (2 * (c[i] - c[i + 1]) << n) for i in range(n - 1)}
-    fresh = bytearray(_q_membership_table(n))  # in Q(n) and not reached yet
+    fresh = bytearray(q_membership_table(n))  # in Q(n) and not reached yet
     best_d = inst.total + 1  # above every delta
     best_mask = -1
     visited = 0
     heap: list[int] = []
     push, pop = heapq.heappush, heapq.heappop
     for k in range((n - 1) // 2 + 1):
-        mask = _min_element_mask(n, k)
+        mask = min_element_mask(n, k)  # +1 exactly at entries k+1..2k+1
         fresh[mask] = 0
-        d = _mask_delta(inst, mask)
+        d = 2 * sum(c[k:2 * k + 1]) - inst.total
         if d < 0:
             push(heap, (-d << n) | mask)
             continue
@@ -321,8 +313,8 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
             best = -hd - keys[i - 1]
     if best == inst.total & 1:
         return None
-    q = _q_membership_table(n)
-    minimal = {_min_element_mask(n, k) for k in range((n - 1) // 2 + 1)}
+    q = q_membership_table(n)
+    minimal = {min_element_mask(n, k) for k in range((n - 1) // 2 + 1)}
     # the lower covers that undo a move whose delta gain exceeds v*, so that
     # they are negative: the addition (gain 2 c[n-1]) clears the top bit, and
     # the swap at bits (j, j + 1) (gain 2 (c[j] - c[j+1])) turns 1, 0 into 0, 1
@@ -361,10 +353,9 @@ def solve_min_fastpath(inst: Instance) -> Solution | None:
     if n < 3:
         raise TooSmall("Q(n) is empty for n < 3")
     for k in range((n - 1) // 2 + 1):
-        mask = _min_element_mask(n, k)
-        d = _mask_delta(inst, mask)
+        d = 2 * sum(inst.c[k:2 * k + 1]) - inst.total  # +1 exactly at entries k+1..2k+1
         if d >= 0:
-            return _make_solution(inst, mask, d, "minfast", k + 1)
+            return _make_solution(inst, min_element_mask(n, k), d, "minfast", k + 1)
     return None
 
 
@@ -373,22 +364,23 @@ def solve_corollary(inst: Instance) -> Solution | None:
 
     A maximal element wins when its delta is nonnegative and each defined
     cover of its negation (the adjacent swap for k != 0, the last-entry
-    addition for 2k != n-1) has a delta at least as large.
+    addition for 2k != n-1) has a delta at least as large.  The negation is
+    minimal element k, of delta -d_top; the swap at entries k, k+1 adds
+    2 (c[k-1] - c[k]) to it and the addition 2 c[n-1], so each test compares
+    d_top with half of that gain.
     """
-    n = inst.n
+    n, c = inst.n, inst.c
     if n < 3:
         raise TooSmall("Q(n) is empty for n < 3")
     for k in range((n - 1) // 2 + 1):
-        top = SignVector(n, _max_element_mask(n, k))
-        d_top = delta(top, inst)
+        d_top = inst.total - 2 * sum(c[k:2 * k + 1])
         if d_top < 0:
             continue
-        bottom = negate(top)
-        if k != 0 and d_top > delta(apply_swap(bottom, k, k + 1), inst):
+        if k != 0 and d_top > c[k - 1] - c[k]:
             continue
-        if 2 * k != n - 1 and d_top > delta(apply_addition(bottom, n), inst):
+        if 2 * k != n - 1 and d_top > c[n - 1]:
             continue
-        return _make_solution(inst, top.mask, d_top, "corollary", k + 1)
+        return _make_solution(inst, max_element_mask(n, k), d_top, "corollary", k + 1)
     return None
 
 

@@ -1,7 +1,10 @@
 """Independent reference computations the library is tested against.
 
 Everything here works on plain tuples and masks with naive algorithms, kept
-deliberately separate from the library's bit tricks and DP tables.
+deliberately separate from the library's bit tricks and DP tables.  The
+certificate references spell the paper's operators with the library's
+sign-vector API (``negate``, ``apply_swap``, ``apply_addition``, ``delta``),
+which the solvers replace by mask arithmetic.
 """
 
 from __future__ import annotations
@@ -9,6 +12,8 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+
+from partition_posets import apply_addition, apply_swap, delta, extremes, negate
 
 
 def entries_of(mask: int, n: int) -> tuple[int, ...]:
@@ -224,3 +229,36 @@ def pruned_ascent(values: list[int]) -> tuple[tuple[int, ...], int, int]:
                 heapq.heappush(heap, (-dw, w))
     d, mask = best
     return tuple(sorted(order[i] + 1 for i in range(n) if mask >> i & 1)), d, visited
+
+
+def _certificate(inst, v, d, tried):
+    return tuple(sorted(inst.perm[i] for i in range(inst.n) if v.mask >> i & 1)), d, tried
+
+
+def min_fastpath_by_operators(inst):
+    """``solve_min_fastpath`` through the sign-vector API: the first minimal
+    element of Q(n) with nonnegative delta, as (subset, delta, elements
+    tested), or None."""
+    for k, v in enumerate(extremes(inst.n).minimal):
+        d = delta(v, inst)
+        if d >= 0:
+            return _certificate(inst, v, d, k + 1)
+    return None
+
+
+def corollary_by_operators(inst):
+    """``solve_corollary`` through the sign-vector API: the first maximal
+    element with nonnegative delta whose negation's defined covers (the swap
+    of entries k, k + 1 and the addition at entry n) have no smaller delta."""
+    n = inst.n
+    for k, top in enumerate(extremes(n).maximal):
+        d_top = delta(top, inst)
+        if d_top < 0:
+            continue
+        bottom = negate(top)
+        if k != 0 and d_top > delta(apply_swap(bottom, k, k + 1), inst):
+            continue
+        if 2 * k != n - 1 and d_top > delta(apply_addition(bottom, n), inst):
+            continue
+        return _certificate(inst, top, d_top, k + 1)
+    return None

@@ -40,7 +40,7 @@ from partition_posets import (
     solve_q_enum,
     width_value,
 )
-from partition_posets.poset import _q_membership_table
+from partition_posets.poset import q_membership_table
 from partition_posets.solver import _delta_table
 
 import oracles
@@ -169,7 +169,7 @@ def test_08_solver_oracle_equivalence():
 def test_09_dominance_pruning_property():
     rng = random.Random(0xD0E)
     for n in range(4, 11):
-        members = np.nonzero(np.asarray(_q_membership_table(n)))[0]
+        members = np.nonzero(np.asarray(q_membership_table(n)))[0]
         full = (1 << n) - 1
         vecs = [SignVector(n, int(m)) for m in members]
         pos = {int(m): i for i, m in enumerate(members)}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -177,6 +178,34 @@ def test_render_dot_matches_dag():
     text = render_dot(dag)
     assert text.startswith('digraph "Q4"')
     assert text.count("->") == len(dag.edges)
+
+
+# sha256 of render_dot(build_hasse(n, kind)): the DOT text is pinned byte
+# for byte, node order, rank layers and edge order included
+DOT_SHA256 = {
+    ("P", 1): "1d86e7ba9e4b625a70acc781bf8606ca56d1fad9e22bc8f92970fd85dc285f44",
+    ("P", 2): "3f9b08beb89915aac68e383a13ad419ff30bf76c9826ce0de16e46e38278000b",
+    ("P", 3): "6fbdc452db7de6fa5f29418fbfccf01bbe18e9a1bdb1e7f393cd851c29382a9d",
+    ("P", 4): "450aa1e492a78436a06189eb38e0011a9e0ebcfc49f59ed40fad1b62055dcb97",
+    ("P", 5): "03912ab05f0aca56089f69ed15dd83c1d305773892228bbd4efe4e96c34f711a",
+    ("P", 6): "a3c194d4deaed592d7549643a4afbca42137d52cbceb7f15cd1370daa876b6ae",
+    ("P", 7): "4a447556ace704dc203a64456ce368a4a76394935e21a79e7ced1c6c392b8018",
+    ("P", 8): "b0816c76fc0171bd8414b6e2a3c53fd483a35189a5739a8011dd84a17751d8b8",
+    ("Q", 3): "6139298a55a37e9c7b9cf77592a564ce2d8404f0b416041fbbf4e0356c198759",
+    ("Q", 4): "b3a88b05ab3749ccf02096f149fd49a0ee17e2ba1ab179467a6225b35ccb6b9b",
+    ("Q", 5): "e8cc858ae5adc0567571df8bad1817f1877a4bb50d6dc443e41ae3650ee874f1",
+    ("Q", 6): "ea1c6282cb8de6ab5c99d7b9229339c034fdadb98fe6d38fefbe49471713a5ae",
+    ("Q", 7): "37330b39abee29c34e0e28082e902ae2cba5d5832bdae11beb0385d4f8f92afb",
+    ("Q", 8): "45128403be9307570a6b3b31c0ac527d1828c7673ee3303b56bc9fcf7c6e1e23",
+    ("Q", 9): "69557f65d905f48f89d7cba309e55ef38922a04eef0537dd6a86ecc7b8061924",
+    ("Q", 10): "150c42ec12c9e837b60f52b0895a00caceed55f549bbd3e00c11db0a3bf23368",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(DOT_SHA256))
+def test_render_dot_golden(kind, n):
+    text = render_dot(build_hasse(n, PosetKind(kind)))
+    assert hashlib.sha256(text.encode()).hexdigest() == DOT_SHA256[kind, n]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -89,15 +91,15 @@ def test_membership_trichotomy_exhaustive():
 
 
 def test_q_membership_table_matches_classify():
-    from partition_posets.poset import _q_membership_table
+    from partition_posets.poset import q_membership_table
 
     for n in range(1, 13):
-        table = _q_membership_table(n)
+        table = q_membership_table(n)
         expected = [oracles.classify(oracles.entries_of(m, n)) == "Q" for m in range(1 << n)]
         assert table.tolist() == expected
     rng = random.Random(29)
     for n in range(21, 25):
-        table = _q_membership_table(n)
+        table = q_membership_table(n)
         assert len(table) == 1 << n
         for mask in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(2000)]:
             assert table[mask] == (oracles.classify(oracles.entries_of(mask, n)) == "Q")
@@ -109,10 +111,10 @@ def test_q_lower_covers_and_complement_lemma():
     # below it has a lower cover in Q(n)
     import numpy as np
 
-    from partition_posets.poset import _leq_matrix, _psums_matrix, _q_membership_table
+    from partition_posets.poset import _leq_matrix, _psums_matrix, q_membership_table
 
     for n in range(3, 13):
-        q = _q_membership_table(n)
+        q = q_membership_table(n)
         assert np.array_equal(q, q[::-1])  # the complement of mask m is 2**n - 1 - m
         idx = np.nonzero(q)[0]
         strict = _leq_matrix(_psums_matrix(n)[idx]) & ~np.eye(len(idx), dtype=bool)
@@ -158,10 +160,12 @@ def test_cover_soundness_n_up_to_10(n):
     for v, w in dag.edges:
         assert leq(v, w) and v != w
         assert dag.rank_of[w] == dag.rank_of[v] + 1
+    assert dag.rank_of == {v: oracles.rank_of(v.entries) for v in dag.nodes}
     dagq = build_hasse(n, PosetKind.Q)
     for v, w in dagq.edges:
         assert leq(v, w)
         assert dagq.rank_of[w] == dagq.rank_of[v] + 1
+    assert dagq.rank_of == {v: oracles.rank_of(v.entries) - n for v in dagq.nodes}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -382,6 +386,36 @@ def test_width_equality_and_sperner(n):
     wp = poset_width(build_hasse(n, PosetKind.P))
     wq = poset_width(build_hasse(n, PosetKind.Q))
     assert wp == wq == width_value(n) == max(p_rank_profile(n).counts)
+
+
+def test_width_leaves_the_recursion_limit_alone(monkeypatch):
+    # the matching is iterative: the process-wide recursion limit is never set
+    from partition_posets import width_value
+
+    def refuse(limit):
+        raise AssertionError("sys.setrecursionlimit called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert poset_width(build_hasse(9, PosetKind.P)) == width_value(9)
+    assert poset_width(build_hasse(10, PosetKind.Q)) == width_value(10)
+
+
+def test_width_in_two_threads_at_once():
+    dag = build_hasse(10, PosetKind.Q)
+    widths = []
+    threads = [threading.Thread(target=lambda: widths.append(poset_width(dag)))
+               for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two matchings finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert widths == [40, 40]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from partition_posets import (
     solve_q_enum,
 )
 from partition_posets import solver
-from partition_posets.poset import _q_membership_table
+from partition_posets.poset import q_membership_table
 from partition_posets.solver import _delta_table
 
 import oracles
@@ -138,9 +138,9 @@ def test_candidates_outside_middle_poset_never_win():
         raw = [rng.randint(0, 1000) for _ in range(n)]
         inst = normalize_instance(raw)
         dt = np.abs(_delta_table(inst.c))
-        from partition_posets.poset import _q_membership_table
+        from partition_posets.poset import q_membership_table
 
-        in_q = np.asarray(_q_membership_table(n))
+        in_q = np.asarray(q_membership_table(n))
         assert dt[in_q].min() <= dt[~in_q].min()
 
 
@@ -384,6 +384,46 @@ def test_corollary_sound_whenever_it_fires():
     assert fired >= 1
 
 
+def _dominant(rng, n):
+    rest = [rng.randint(0, 1000) for _ in range(n - 1)]
+    return rng.sample([sum(rest) + rng.randint(0, 1000)] + rest, n)
+
+
+def _superincreasing(rng, n):
+    # near-powers of two, superincreasing up to 60 weights (totals stay below 2**63)
+    return rng.sample([(1 << max(60 - i, 0)) + rng.randint(0, 1) for i in range(n)], n)
+
+
+CERTIFICATE_FAMILIES = {
+    "uniform": PRUNED_FAMILIES["uniform"],
+    "ties_zeros": PRUNED_FAMILIES["ties_zeros"],
+    "bits58": lambda rng, n: [rng.randrange(1 << 57, 1 << 58) // n for _ in range(n)],
+    "dominant": _dominant,
+    "superincreasing": _superincreasing,
+}
+
+
+def test_certificates_match_operator_reference():
+    # the mask arithmetic of both fast paths against the operator-built
+    # reference: same (subset, delta, elements tested), or both None; more
+    # draws at small n, where the corollary fires more often
+    rng = random.Random(2024)
+    fired = {"minfast": 0, "corollary": 0}
+    for name, draw in CERTIFICATE_FAMILIES.items():
+        for n in range(3, 65):
+            for _ in range(12 if n <= 18 else 3):
+                inst = normalize_instance(draw(rng, n))
+                for algo, fast, ref in (
+                    ("minfast", solve_min_fastpath, oracles.min_fastpath_by_operators),
+                    ("corollary", solve_corollary, oracles.corollary_by_operators),
+                ):
+                    sol = fast(inst)
+                    got = None if sol is None else (sol.subset.indices, sol.delta, sol.nodes_visited)
+                    assert got == ref(inst), (algo, name, inst.c)
+                    fired[algo] += sol is not None
+    assert fired["minfast"] >= 500 and fired["corollary"] >= 100, fired
+
+
 # ---------------------------------------------------------------------------
 # dispatcher
 
@@ -453,7 +493,7 @@ def _one_shot_scan(inst):
     # reference: argmin over the whole 2**n delta table in one shot
     dt = _delta_table(inst.c)
     brute_mask = 2 * int(np.argmin(np.abs(dt[1::2]))) + 1
-    q_masks = 2 * np.nonzero(_q_membership_table(inst.n)[1::2])[0] + 1
+    q_masks = 2 * np.nonzero(q_membership_table(inst.n)[1::2])[0] + 1
     q_mask = int(q_masks[np.argmin(np.abs(dt[q_masks]))])
     return brute_mask, int(dt[brute_mask]), q_mask, int(dt[q_mask]), len(q_masks)
 
@@ -502,7 +542,7 @@ def test_block_scan_memory_is_flat():
     # 2**20-delta blocks keep the peak near 20 MB; a one-shot 2**24 table
     # would need about 320 MB
     inst = normalize_instance(PRUNED_FAMILIES["bits62"](random.Random(7), 24))
-    _q_membership_table(24)  # the cached table is not part of the scan
+    q_membership_table(24)  # the cached table is not part of the scan
     for scan in (solve_brute, solve_q_enum):
         tracemalloc.start()
         try:
