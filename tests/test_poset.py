@@ -2,10 +2,12 @@ import itertools
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
 from partition_posets import (
+    HasseDag,
     NotInPoset,
     OperatorUndefined,
     PosetKind,
@@ -31,7 +33,9 @@ from partition_posets import (
     rank,
     upper_covers,
     verify_structure,
+    width_value,
 )
+from partition_posets import poset
 
 import oracles
 
@@ -390,21 +394,26 @@ def test_width_equality_and_sperner(n):
 
 def test_width_leaves_the_recursion_limit_alone(monkeypatch):
     # the matching is iterative: the process-wide recursion limit is never set
-    from partition_posets import width_value
-
     def refuse(limit):
         raise AssertionError("sys.setrecursionlimit called")
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     assert poset_width(build_hasse(9, PosetKind.P)) == width_value(9)
     assert poset_width(build_hasse(10, PosetKind.Q)) == width_value(10)
+    assert poset_width(_non_peck_dag()) == 3  # the Dilworth fallback's matching
 
 
 def test_width_in_two_threads_at_once():
     dag = build_hasse(10, PosetKind.Q)
+    non_peck = _non_peck_dag()
     widths = []
-    threads = [threading.Thread(target=lambda: widths.append(poset_width(dag)))
-               for _ in range(2)]
+    fallback_widths = []
+
+    def work():
+        widths.append(poset_width(dag))
+        fallback_widths.append(poset_width(non_peck))
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the two matchings finely
     try:
@@ -416,6 +425,130 @@ def test_width_in_two_threads_at_once():
     finally:
         sys.setswitchinterval(interval)
     assert widths == [40, 40]
+    assert fallback_widths == [3, 3]
+
+
+def _hand_dag(ranked: dict[int, int], edges: list[tuple[int, int]]) -> HasseDag:
+    # a HasseDag built by hand: node mask -> rank, and (lower, upper) mask pairs
+    n = max(1, max(ranked).bit_length())
+    nodes = tuple(SignVector(n, m) for m in sorted(ranked))
+    node_of = {v.mask: v for v in nodes}
+    return HasseDag(
+        kind=PosetKind.P,
+        n=n,
+        nodes=nodes,
+        edges=tuple((node_of[a], node_of[b]) for a, b in edges),
+        rank_of={v: ranked[v.mask] for v in nodes},
+    )
+
+
+def _non_peck_dag() -> HasseDag:
+    # graded, but level 0 = {a1, a2} cannot be matched into level 1 = {b1, b2}:
+    # only a1 has covers (a1 -> b1, a1 -> b2), so the levels give 3 chains
+    a1, a2, b1, b2 = 0, 1, 2, 3
+    return _hand_dag({a1: 0, a2: 0, b1: 1, b2: 1}, [(a1, b1), (a1, b2)])
+
+
+def _reach_leq(dag: HasseDag):
+    # v <= w in the DAG's order: w is reachable from v along its edges
+    succ = {v: [] for v in dag.nodes}
+    for v, w in dag.edges:
+        succ[v].append(w)
+
+    def le(v, w):
+        stack, seen = [v], set()
+        while stack:
+            u = stack.pop()
+            if u == w:
+                return True
+            if u not in seen:
+                seen.add(u)
+                stack.extend(succ[u])
+        return False
+
+    return le
+
+
+def _spy_fallback(monkeypatch) -> list[int]:
+    calls = []
+    dilworth = poset._dilworth_width
+
+    def spy(dag):
+        calls.append(len(dag.nodes))
+        return dilworth(dag)
+
+    monkeypatch.setattr(poset, "_dilworth_width", spy)
+    return calls
+
+
+def _check_chain_partition(dag: HasseDag, chains) -> None:
+    covers = {(v.mask, w.mask) for v, w in dag.edges}
+    for chain in chains:
+        assert all((v.mask, w.mask) in covers for v, w in zip(chain, chain[1:]))
+    seen = [v.mask for chain in chains for v in chain]
+    assert len(seen) == len(set(seen)) == len(dag.nodes)
+    assert set(seen) == {v.mask for v in dag.nodes}
+
+
+@pytest.mark.parametrize(
+    "kind, sizes", [(PosetKind.P, range(1, 15)), (PosetKind.Q, range(3, 17))]
+)
+def test_level_chains_certify_width_at_every_buildable_size(kind, sizes):
+    for n in sizes:
+        dag = build_hasse(n, kind)
+        chains = poset._level_chains(dag)
+        _check_chain_partition(dag, chains)
+        peak = max(Counter(dag.rank_of.values()).values())
+        assert len(chains) == peak == width_value(n), (kind, n)
+        assert poset_width(dag) == width_value(n), (kind, n)
+
+
+def test_width_falls_back_to_dilworth_on_a_non_peck_dag(monkeypatch):
+    dag = _non_peck_dag()
+    chains = poset._level_chains(dag)
+    _check_chain_partition(dag, chains)
+    assert len(chains) == 3 > max(Counter(dag.rank_of.values()).values()) == 2
+    calls = _spy_fallback(monkeypatch)
+    assert poset_width(dag) == 3 == oracles.max_antichain_bruteforce(
+        list(dag.nodes), _reach_leq(dag)
+    )
+    assert calls == [4]
+
+
+@pytest.mark.parametrize(
+    "ranked, edges, width",
+    [
+        # a -> b -> c and d -> c, where d -> c jumps from rank 0 to rank 2
+        ({0: 0, 1: 1, 2: 2, 3: 0}, [(0, 1), (1, 2), (3, 2)], 2),
+        # an edge inside one level: that level is no antichain, so its size
+        # (2) is no lower bound and the certificate must not answer
+        ({0: 0, 1: 0}, [(0, 1)], 1),
+    ],
+    ids=["skipped-rank", "flat-edge"],
+)
+def test_width_skips_the_certificate_on_ungraded_edges(monkeypatch, ranked, edges, width):
+    dag = _hand_dag(ranked, edges)
+    assert poset._level_chains(dag) is None
+    calls = _spy_fallback(monkeypatch)
+    assert poset_width(dag) == width == oracles.max_antichain_bruteforce(
+        list(dag.nodes), _reach_leq(dag)
+    )
+    assert calls == [len(dag.nodes)]
+
+
+def test_width_caps_only_the_dilworth_fallback():
+    # the certificate answers Q(14) above the cap (tested above); a DAG that
+    # fails the grading guard and is larger than the cap is refused
+    big = _hand_dag({m: 0 for m in range(poset.WIDTH_MAX_NODES + 1)}, [(0, 1)])
+    with pytest.raises(TooLarge, match="Dilworth width fallback"):
+        poset_width(big)
+
+
+def test_dilworth_fallback_agrees_with_the_certificate():
+    for kind, sizes in ((PosetKind.P, range(1, 11)), (PosetKind.Q, range(3, 12))):
+        for n in sizes:
+            dag = build_hasse(n, kind)
+            assert poset._dilworth_width(dag) == len(poset._level_chains(dag)), (kind, n)
 
 
 # ---------------------------------------------------------------------------
