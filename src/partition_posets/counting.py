@@ -6,9 +6,13 @@ half-space R+(n) is profiled by a lattice-path DP refined by rank, where the
 rank of a vector is (n+1) * (#up-steps) - (sum of up-step positions); the
 middle poset's profile is what remains after removing both half-spaces.
 
-All counts are plain integers, validated to stay below 2**128; the n <= 120
-guard keeps that bound (and runtimes) honest, raising instead of ever
-producing a wrapped or approximate count.
+Both DPs run on packed integers (Kronecker substitution): a polynomial is one
+Python int whose coefficient of q^t sits in the fixed-width slot t, so one
+big-int shift and add updates every coefficient at once.  Every count at
+n <= MAX_COUNT_N stays below 2**MAX_COUNT_N, which the slot width is derived
+from, so slots never carry into each other; the n <= 120 guard keeps that
+bound (and runtimes) honest, raising instead of ever producing a wrapped or
+approximate count.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from .poset import PosetKind
 
 MAX_COUNT_N = 120
 U128_LIMIT = 1 << 128
+_SLOT_BYTES = MAX_COUNT_N // 8 + 1  # holds any count below 2**MAX_COUNT_N
+_SLOT = 8 * _SLOT_BYTES
 
 
 @dataclass(frozen=True)
@@ -49,59 +55,56 @@ class ProfileChecks:
     max_level: int
 
 
-class _ProfileCache:
-    """Incrementally extended DP state shared by the profile functions.
+def _unpack(packed: int, length: int) -> tuple[int, ...]:
+    """The coefficients in the first ``length`` slots of a packed int."""
+    raw = packed.to_bytes(length * _SLOT_BYTES, "little")
+    return tuple([int.from_bytes(raw[i:i + _SLOT_BYTES], "little")
+                  for i in range(0, len(raw), _SLOT_BYTES)])
 
-    ``p[n]`` and ``rplus[n]`` hold finished profiles for every n computed so
-    far; ``ballot`` holds only the newest path table, keyed by up-step count
-    u as (offset, coefficients) polynomials over the sum of up positions.
-    Appending step n keeps a path nonnegative after a down-step only when
-    2u >= n, and an up-step at position n adds n to the position sum.
+
+class _ProfileCache:
+    """Incrementally extended packed DP state shared by the profile functions.
+
+    ``p[n]`` packs P(n) by P-rank and ``rminus[n]`` packs R-(n) by P-rank (R+
+    read backwards) for every n computed so far.  ``ballot[u]`` packs the
+    newest step's nonnegative paths with u up-steps over the key (sum of up
+    positions) - u(u+1)/2; the offset u(u+1)/2, the least sum, does not depend
+    on the step, so a path that keeps its u after a down-step (only when
+    2u >= n) keeps its key, an up-step at position n adds n - u - 1 to it, and
+    each int holds only its u(n-u)+1 live slots.  ``counts[n]`` holds the
+    unpacked (P(n), R+(n)) tuples of every n a caller asked for.
     """
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.p: list[list[int]] = [[1]]
-        self.rplus: list[list[int]] = [[1]]
-        self.ballot: dict[int, tuple[int, list[int]]] = {0: (0, [1])}
+        self.p = [1]
+        self.rminus = [1]
+        self.ballot = [1]
+        self.counts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
-    def extend(self, n_target: int) -> None:
+    def profiles(self, n_target: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(P(n), R+(n)) counts by P-rank for n = n_target, extending as needed."""
         with self.lock:
             while len(self.p) <= n_target:
                 n = len(self.p)
-                prev = self.p[-1]
-                cur = prev + [0] * n
-                for t in range(len(prev) - 1, -1, -1):
-                    cur[t + n] += prev[t]
-                self.p.append(cur)
-
-                nxt: dict[int, tuple[int, list[int]]] = {}
-                for u, (off, coeffs) in self.ballot.items():
+                x = self.p[-1]
+                self.p.append(x + (x << _SLOT * n))
+                nxt = [0] * (n + 1)
+                for u in range(n // 2, n):
                     if 2 * u >= n:
-                        nxt[u] = (off, coeffs[:])
-                for u, (off, coeffs) in self.ballot.items():
-                    shifted_off = off + n
-                    if u + 1 in nxt:
-                        eoff, ec = nxt[u + 1]
-                        lo = min(eoff, shifted_off)
-                        hi = max(eoff + len(ec), shifted_off + len(coeffs))
-                        merged = [0] * (hi - lo)
-                        for j, val in enumerate(ec):
-                            merged[eoff - lo + j] += val
-                        for j, val in enumerate(coeffs):
-                            merged[shifted_off - lo + j] += val
-                        nxt[u + 1] = (lo, merged)
-                    else:
-                        nxt[u + 1] = (shifted_off, coeffs[:])
+                        nxt[u] += self.ballot[u]
+                    nxt[u + 1] += self.ballot[u] << _SLOT * (n - u - 1)
                 self.ballot = nxt
-
-                prof = [0] * (n * (n + 1) // 2 + 1)
-                for u, (off, coeffs) in nxt.items():
-                    base = (n + 1) * u - off
-                    for j, val in enumerate(coeffs):
-                        if val:
-                            prof[base - j] += val
-                self.rplus.append(prof)
+                # rank (n+1)u - u(u+1)/2 - key lands in R- slot r - rank
+                r = n * (n + 1) // 2
+                self.rminus.append(sum(
+                    nxt[u] << _SLOT * (r - (n + 1) * u + u * (u + 1) // 2)
+                    for u in range((n + 1) // 2, n + 1)))
+            if n_target not in self.counts:
+                length = n_target * (n_target + 1) // 2 + 1
+                rminus = _unpack(self.rminus[n_target], length)
+                self.counts[n_target] = (_unpack(self.p[n_target], length), rminus[::-1])
+            return self.counts[n_target]
 
 
 _CACHE = _ProfileCache()
@@ -117,8 +120,7 @@ def _guard(n: int) -> None:
 def p_rank_profile(n: int) -> RankProfile:
     """counts[t] = number of subsets of [n] with element sum t."""
     _guard(n)
-    _CACHE.extend(n)
-    counts = tuple(_CACHE.p[n])
+    counts = _CACHE.profiles(n)[0]
     if sum(counts) != 1 << n:
         raise AssertionError("profile total disagrees with 2**n")
     return RankProfile(kind=PosetKind.P, n=n, counts=counts)
@@ -127,8 +129,7 @@ def p_rank_profile(n: int) -> RankProfile:
 def rplus_rank_profile(n: int) -> RankProfile:
     """Per-rank counts of vectors whose running sums never go negative."""
     _guard(n)
-    _CACHE.extend(n)
-    counts = tuple(_CACHE.rplus[n])
+    counts = _CACHE.profiles(n)[1]
     if sum(counts) != math.comb(n, n // 2):
         raise AssertionError("half-space total disagrees with the central binomial")
     return RankProfile(kind=PosetKind.R_PLUS, n=n, counts=counts)
@@ -146,8 +147,7 @@ def q_rank_profile(n: int) -> RankProfile:
     _guard(n)
     p = p_rank_profile(n).counts
     rp = rplus_rank_profile(n).counts
-    rm = rp[::-1]
-    diff = [p[i] - rp[i] - rm[i] for i in range(len(p))]
+    diff = [a - b - c for a, b, c in zip(p, rp, reversed(rp))]
     if any(v < 0 for v in diff):
         raise AssertionError("half-space profiles exceed the full profile")
     r = n * (n + 1) // 2

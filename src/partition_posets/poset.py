@@ -29,7 +29,7 @@ from .errors import (
 
 ENUM_MAX_N = 24
 DAG_MAX_N = {"P": 14, "Q": 16}
-WIDTH_MAX_NODES = 5000
+WIDTH_MAX_NODES = 2248  # Q(12); the Dilworth fallback takes about 2 s there
 _TABLE_MAX_N = 24  # vectorized membership tables built up to here
 
 

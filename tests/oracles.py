@@ -89,6 +89,52 @@ def subset_sum_counts(n: int) -> list[int]:
     return counts
 
 
+def rank_profiles_by_lists(n_max: int) -> tuple[list[list[int]], list[list[int]]]:
+    """P(n) and R+(n) counts by P-rank for every n <= n_max, from plain
+    coefficient lists.
+
+    P(n) multiplies P(n-1) by 1 + q^n.  The half-space DP keys its lattice
+    paths by up-step count u as (offset, coefficients) polynomials over the sum
+    of up positions: step n keeps a path nonnegative after a down-step only
+    when 2u >= n, and an up-step at position n adds n to the position sum.  A
+    path's P-rank is (n+1)u - (sum of up positions).
+    """
+    p: list[list[int]] = [[1]]
+    rplus: list[list[int]] = [[1]]
+    ballot: dict[int, tuple[int, list[int]]] = {0: (0, [1])}
+    for n in range(1, n_max + 1):
+        prev = p[-1]
+        cur = prev + [0] * n
+        for t in range(len(prev) - 1, -1, -1):
+            cur[t + n] += prev[t]
+        p.append(cur)
+
+        nxt = {u: (off, coeffs[:]) for u, (off, coeffs) in ballot.items() if 2 * u >= n}
+        for u, (off, coeffs) in ballot.items():
+            shifted_off = off + n
+            if u + 1 in nxt:
+                eoff, ec = nxt[u + 1]
+                lo = min(eoff, shifted_off)
+                hi = max(eoff + len(ec), shifted_off + len(coeffs))
+                merged = [0] * (hi - lo)
+                for j, val in enumerate(ec):
+                    merged[eoff - lo + j] += val
+                for j, val in enumerate(coeffs):
+                    merged[shifted_off - lo + j] += val
+                nxt[u + 1] = (lo, merged)
+            else:
+                nxt[u + 1] = (shifted_off, coeffs[:])
+        ballot = nxt
+
+        prof = [0] * (n * (n + 1) // 2 + 1)
+        for u, (off, coeffs) in nxt.items():
+            base = (n + 1) * u - off
+            for j, val in enumerate(coeffs):
+                prof[base - j] += val
+        rplus.append(prof)
+    return p, rplus
+
+
 def catalan_paths(m: int) -> int:
     """2m-step nonnegative walks from 0 back to 0, by explicit enumeration."""
     count = 0

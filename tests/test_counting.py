@@ -1,4 +1,7 @@
+import functools
 import math
+import sys
+import threading
 
 import pytest
 
@@ -8,6 +11,7 @@ from partition_posets import (
     TooSmall,
     ballot_count,
     catalan,
+    counting,
     height_formula,
     iter_poset,
     p_rank_profile,
@@ -190,6 +194,61 @@ def test_profile_guards():
         p_rank_profile(0)
     # the cap itself stays exact and in range
     assert p_rank_profile(120).total == 1 << 120
+
+
+# ---------------------------------------------------------------------------
+# the packed DP against the list-based reference
+
+
+@functools.cache
+def _reference_rows():
+    return oracles.rank_profiles_by_lists(counting.MAX_COUNT_N)
+
+
+def _reference(n):
+    p_rows, rplus_rows = _reference_rows()
+    p, rplus = p_rows[n], rplus_rows[n]
+    r = n * (n + 1) // 2
+    q = tuple(p[t] - rplus[t] - rplus[r - t] for t in range(n, r - n + 1))
+    return tuple(p), tuple(rplus), q
+
+
+def _profiles(n):
+    return p_rank_profile(n), rplus_rank_profile(n), q_rank_profile(n)
+
+
+@pytest.mark.parametrize("sizes", [range(1, 121), range(120, 0, -1)],
+                         ids=["ascending", "120-first"])
+def test_packed_profiles_match_list_dp(monkeypatch, sizes):
+    monkeypatch.setattr(counting, "_CACHE", counting._ProfileCache())
+    for n in sizes:
+        assert tuple(prof.counts for prof in _profiles(n)) == _reference(n), n
+
+
+def test_profile_cache_is_thread_safe(monkeypatch):
+    sizes = (120, 90, 60, 30)
+    monkeypatch.setattr(counting, "_CACHE", counting._ProfileCache())
+    serial = {n: _profiles(n) for n in sizes}
+    monkeypatch.setattr(counting, "_CACHE", counting._ProfileCache())
+    barrier = threading.Barrier(len(sizes))
+    results = {}
+
+    def ask(n):
+        barrier.wait(timeout=60)
+        results[n] = _profiles(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=ask, args=(n,)) for n in sizes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == serial
 
 
 # ---------------------------------------------------------------------------
