@@ -11,18 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
 from . import counting, poset, solver
 from .core import normalize_instance
 from .errors import EmptyInput, ParseError, PartitionPosetsError, UnknownCheck
-from .poset import CheckResult, PosetKind
-
-_VERIFY_EXTRA = ("profiles", "solvers")
-_PROFILE_ENUM_MAX_N = 14
-_SOLVERS_CHECK_MAX_N = 16
+from .poset import PosetKind
 
 
 def read_instance_file(path: str) -> list[int]:
@@ -145,84 +140,15 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_profiles(n: int) -> CheckResult:
-    if n > counting.MAX_COUNT_N:
-        return CheckResult("profiles", True, skipped=True,
-                           detail=f"capped at n = {counting.MAX_COUNT_N}")
-    p = counting.p_rank_profile(n)
-    rp = counting.rplus_rank_profile(n)
-    rm = counting.rminus_rank_profile(n)
-    q = counting.q_rank_profile(n)
-    full = list(q.counts)
-    r = n * (n + 1) // 2
-    padded = [0] * (r + 1)
-    for i, v in enumerate(full):
-        padded[n + i] = v
-    for rho in range(r + 1):
-        if p.counts[rho] != padded[rho] + rp.counts[rho] + rm.counts[rho]:
-            return CheckResult("profiles", False,
-                               detail=f"conservation fails at rank {rho}")
-    if q.total != counting.q_size(n):
-        return CheckResult("profiles", False, detail="Q size mismatch")
-    if n <= _PROFILE_ENUM_MAX_N:
-        hist = [0] * (r + 1)
-        for v in poset.iter_poset(n, PosetKind.R_PLUS):
-            hist[poset.rank(v)] += 1
-        if tuple(hist) != rp.counts:
-            return CheckResult("profiles", False,
-                               detail="R+ profile disagrees with enumeration")
-        qhist = [0] * max(len(q.counts), 1)
-        for v in poset.iter_poset(n, PosetKind.Q):
-            qhist[poset.rank(v, PosetKind.Q)] += 1
-        if tuple(qhist) != q.counts and q.counts:
-            return CheckResult("profiles", False,
-                               detail="Q profile disagrees with enumeration")
-    return CheckResult("profiles", True)
-
-
-def _check_solvers(n: int) -> CheckResult:
-    if n > _SOLVERS_CHECK_MAX_N:
-        return CheckResult("solvers", True, skipped=True,
-                           detail=f"capped at n = {_SOLVERS_CHECK_MAX_N}")
-    rng = random.Random(20_000 + n)
-    for trial in range(20):
-        raw = [rng.randint(0, 1000) for _ in range(n)]
-        inst = normalize_instance(raw)
-        ref = solver.solve_brute(inst).abs_delta
-        results = {"dp": solver.solve_dp(inst).abs_delta}
-        if n >= 3:
-            results["qenum"] = solver.solve_q_enum(inst).abs_delta
-            results["pruned"] = solver.solve_pruned(inst).abs_delta
-        for name, value in results.items():
-            if value != ref:
-                return CheckResult(
-                    "solvers", False,
-                    detail=f"{name} got {value}, brute got {ref} on {raw}",
-                )
-    return CheckResult("solvers", True)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.checks == "all":
-        names = list(poset.CHECKS) + list(_VERIFY_EXTRA)
-        structural: list[str] | str = "all"
-    else:
-        names = [s.strip() for s in args.checks.split(",") if s.strip()]
-        known = set(poset.CHECKS) | set(_VERIFY_EXTRA)
-        for name in names:
-            if name not in known:
-                raise UnknownCheck(f"unknown check {name!r}")
-        structural = [s for s in names if s in poset.CHECKS]
-    results: list[CheckResult] = []
-    if structural:
-        results.extend(poset.verify_structure(args.n, structural))
-    if "profiles" in names:
-        results.append(_check_profiles(args.n))
-    if "solvers" in names:
-        results.append(_check_solvers(args.n))
+    checks = args.checks
+    if checks != "all":
+        checks = [s.strip() for s in checks.split(",") if s.strip()]
+        if not checks:
+            raise UnknownCheck("--checks names no check")
     failed = False
     payload = []
-    for res in results:
+    for res in poset.verify_structure(args.n, checks):
         status = "skip" if res.skipped else ("pass" if res.passed else "fail")
         failed |= status == "fail"
         payload.append({"name": res.name, "status": status, "detail": res.detail})

@@ -18,6 +18,9 @@ from .errors import EmptyInput, LengthMismatch, NegativeValue, Overflow, TooLarg
 MAX_N = 64
 """Vector lengths are capped by the bitmask encoding."""
 
+MAX_COUNT_N = 120
+"""Exact rank profiles (the ``counting`` layer) are computed up to this n."""
+
 VALUE_LIMIT = 1 << 63
 """Weights and totals must stay below 2**63 so signed 64-bit arithmetic is exact."""
 

@@ -21,10 +21,10 @@ import math
 import threading
 from dataclasses import dataclass
 
+from .core import MAX_COUNT_N
 from .errors import TooLarge, TooSmall
 from .poset import PosetKind
 
-MAX_COUNT_N = 120
 U128_LIMIT = 1 << 128
 _SLOT_BYTES = MAX_COUNT_N // 8 + 1  # holds any count below 2**MAX_COUNT_N
 _SLOT = 8 * _SLOT_BYTES

@@ -9,6 +9,7 @@ last entry up, and swapping an adjacent (-1, +1) pair.
 
 from __future__ import annotations
 
+import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import SignVector, SubsetRef, leq, negate, prefix_sums
+from .core import MAX_COUNT_N, MAX_N, SignVector, SubsetRef, leq, negate, prefix_sums
 from .errors import (
     LengthMismatch,
     NotInPoset,
@@ -31,6 +32,7 @@ ENUM_MAX_N = 24
 DAG_MAX_N = {"P": 14, "Q": 16}
 WIDTH_MAX_NODES = 2248  # Q(12); the Dilworth fallback takes about 2 s there
 _TABLE_MAX_N = 24  # vectorized membership tables built up to here
+_PROFILE_ENUM_MAX_N = 14  # the profiles check also enumerates R+ and Q up to here
 
 
 class PosetKind(Enum):
@@ -242,6 +244,8 @@ def iter_poset(n: int, kind: PosetKind, *, force: bool = False) -> Iterator[Sign
     """Yield every element of the named poset once, in ascending bitmask order."""
     if n < 1:
         raise TooSmall("n must be at least 1")
+    if n > MAX_N:
+        raise TooLarge(f"sign vectors are capped at n = {MAX_N}")
     if n > ENUM_MAX_N and not force:
         raise TooLarge(f"enumeration capped at n = {ENUM_MAX_N} (force=True overrides)")
     if kind is PosetKind.P:
@@ -641,6 +645,60 @@ def _check_graded(n: int) -> CheckResult:
     return CheckResult("graded", True)
 
 
+def _check_profiles(n: int) -> CheckResult:
+    from . import counting
+
+    p = counting.p_rank_profile(n)
+    rp = counting.rplus_rank_profile(n)
+    rm = counting.rminus_rank_profile(n)
+    q = counting.q_rank_profile(n)
+    r = n * (n + 1) // 2
+    padded = [0] * (r + 1)
+    padded[n:n + len(q.counts)] = q.counts  # Q rank = P rank - n
+    for rho in range(r + 1):
+        if p.counts[rho] != padded[rho] + rp.counts[rho] + rm.counts[rho]:
+            return CheckResult("profiles", False,
+                               detail=f"conservation fails at rank {rho}")
+    if q.total != counting.q_size(n):
+        return CheckResult("profiles", False, detail="Q size mismatch")
+    if n <= _PROFILE_ENUM_MAX_N:
+        hist = [0] * (r + 1)
+        for v in iter_poset(n, PosetKind.R_PLUS):
+            hist[rank(v)] += 1
+        if tuple(hist) != rp.counts:
+            return CheckResult("profiles", False,
+                               detail="R+ profile disagrees with enumeration")
+        qhist = [0] * max(len(q.counts), 1)
+        for v in iter_poset(n, PosetKind.Q):
+            qhist[rank(v, PosetKind.Q)] += 1
+        if tuple(qhist) != q.counts and q.counts:
+            return CheckResult("profiles", False,
+                               detail="Q profile disagrees with enumeration")
+    return CheckResult("profiles", True)
+
+
+def _check_solvers(n: int) -> CheckResult:
+    # through module attributes, so wrappers installed on them see the calls
+    from . import core, solver
+
+    rng = random.Random(20_000 + n)
+    for _ in range(20):
+        raw = [rng.randint(0, 1000) for _ in range(n)]
+        inst = core.normalize_instance(raw)
+        ref = solver.solve_brute(inst).abs_delta
+        results = {"dp": solver.solve_dp(inst).abs_delta}
+        if n >= 3:
+            results["qenum"] = solver.solve_q_enum(inst).abs_delta
+            results["pruned"] = solver.solve_pruned(inst).abs_delta
+        for name, value in results.items():
+            if value != ref:
+                return CheckResult(
+                    "solvers", False,
+                    detail=f"{name} got {value}, brute got {ref} on {raw}",
+                )
+    return CheckResult("solvers", True)
+
+
 # name -> (check, smallest n it runs at, size guard)
 _CHECK_TABLE = {
     "covers": (_check_covers, 1, 10),
@@ -649,19 +707,21 @@ _CHECK_TABLE = {
     "chains": (_check_chains, 4, 16),
     "dominance": (_check_dominance, 3, 16),
     "graded": (_check_graded, 3, 10),
+    "profiles": (_check_profiles, 1, MAX_COUNT_N),
+    "solvers": (_check_solvers, 1, 16),
 }
 CHECKS = tuple(_CHECK_TABLE)
 
 
 def verify_structure(n: int, checks: Iterable[str] | str = "all") -> list[CheckResult]:
-    """Run the named structural checks at size n.
+    """Run the named checks at size n, in the order given.
 
-    With ``checks="all"`` every check runs, and those whose size guard or
-    minimum n excludes them are reported as skipped; naming a check
-    explicitly outside its guard raises instead.
+    Besides the structural checks, ``profiles`` cross-checks the counting
+    DPs and ``solvers`` the exact solvers against brute force.  With
+    ``checks="all"`` every check runs, and those whose size guard or minimum
+    n excludes them are reported as skipped; naming a check explicitly
+    outside its guard raises instead.
     """
-    if n < 1:
-        raise TooSmall("n must be at least 1")
     if checks == "all":
         names = list(CHECKS)
         explicit = False
@@ -671,6 +731,8 @@ def verify_structure(n: int, checks: Iterable[str] | str = "all") -> list[CheckR
         for name in names:
             if name not in _CHECK_TABLE:
                 raise UnknownCheck(f"unknown check {name!r}")
+    if n < 1:
+        raise TooSmall("n must be at least 1")
     results = []
     for name in names:
         check, lo, hi = _CHECK_TABLE[name]

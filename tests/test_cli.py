@@ -173,6 +173,12 @@ def test_hasse_guard_and_force(tmp_path, capsys):
     assert out.read_text().count("\n") > (1 << 15)
 
 
+def test_hasse_force_beyond_sign_vector_length_exits_2(capsys):
+    # --force lifts the DAG and enumeration caps, not the 64-bit mask encoding
+    assert main(["hasse", "65", "--force"]) == 2
+    assert "capped at n = 64" in capsys.readouterr().err
+
+
 def test_render_dot_matches_dag():
     dag = build_hasse(4, PosetKind.Q)
     text = render_dot(dag)
@@ -229,6 +235,59 @@ def test_verify_selected_checks(capsys):
 
 def test_verify_unknown_check_exits_2(capsys):
     assert main(["verify", "5", "--checks", "bogus"]) == 2
+
+
+def test_verify_empty_check_list_exits_2(capsys):
+    assert main(["verify", "5", "--checks", ","]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no check" in captured.err
+
+
+@pytest.mark.parametrize("n, name, cap", [(20, "solvers", 16), (121, "profiles", 120)])
+def test_verify_named_check_over_cap_exits_2(capsys, n, name, cap):
+    # one guard rule for every check: SKIP under `all`, an error when named
+    assert main(["verify", str(n), "--checks", name]) == 2
+    assert f"check {name!r} is capped at n = {cap}" in capsys.readouterr().err
+
+
+def test_verify_prints_checks_in_given_order(capsys):
+    assert main(["verify", "5", "--checks", "solvers,covers"]) == 0
+    assert capsys.readouterr().out == "solvers: PASS\ncovers: PASS\n"
+
+
+def test_verify_named_check_below_n1_exits_2(capsys):
+    assert main(["verify", "0", "--checks", "solvers"]) == 2
+    assert "n must be at least 1" in capsys.readouterr().err
+
+
+# sha256 of the stdout of `verify N` and `verify N --json`: every verdict,
+# skip reason and the order of all eight checks are pinned byte for byte
+VERIFY_SHA256 = {
+    ("", 1): "d8ec24d399af36659445591ed692ddb2b261587f1795fee657e15e6090548632",
+    ("json", 1): "3f3286a4f36b6956e5490d861f893b504a0e4a6107b467dcf7ca8499fe739e54",
+    ("", 2): "d8ec24d399af36659445591ed692ddb2b261587f1795fee657e15e6090548632",
+    ("json", 2): "8f00ffbd66077860b93fa02f8e24d7dbe3ef5f5d0f3e7b9b508a40d80bcdea9f",
+    ("", 3): "3e91103db367ff54e387ff279ef732110e498f0bea578a2c4c76d2c34feb67ec",
+    ("json", 3): "afe32a8713c7cff2eb137fe527f8078479038cb2464e9fadb925ac2d44fe17da",
+    ("", 10): "3b8fb014588b74acd085fe85de79e73002a0740ce4cf26bf41eb090d133b236a",
+    ("json", 10): "74557ec3614ad7a9639d6cf128ce5a92cf892e10076d89c45466bca24ff04ec2",
+    ("", 11): "e436742579afc17b3b1b2c2453fa599fdae93225363b3246235b90d878382471",
+    ("json", 11): "8ee81549dbbcc68ebae87eebb83574c079ee285c93e937b92c1726fd1e521e1f",
+    ("", 17): "0b1ee0d1e512db3aa6d3c3564a9e564a1886a9a6dee4ddab02e05e0de08d7603",
+    ("json", 17): "b02e1ba1ea39844936759dcf09495f853440e8727729d1c42749f4b505c588b9",
+    ("", 121): "03764acf1e98e2188f0794de452cbc3fa9b08df947a1ba34032e48eab1e050af",
+    ("json", 121): "4cfce13f2d71382e4fa8c27b537eb3466d5cd7d6e02895ec4f2916c44aa9ead8",
+}
+
+
+@pytest.mark.parametrize("fmt, n", sorted(VERIFY_SHA256))
+def test_verify_golden(capsys, fmt, n):
+    argv = ["verify", str(n)] + (["--json"] if fmt else [])
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == VERIFY_SHA256[fmt, n]
 
 
 def test_verify_skip_reported(capsys):

@@ -325,6 +325,12 @@ def test_enumeration_ascending_and_guarded():
     assert first.mask == 0
 
 
+def test_enumeration_force_stops_at_sign_vector_length():
+    # force lifts the enumeration cap, never the 64-bit mask encoding
+    with pytest.raises(TooLarge):
+        next(iter_poset(65, PosetKind.Q, force=True))
+
+
 # ---------------------------------------------------------------------------
 # Hasse DAGs, heights, widths
 
