@@ -10,7 +10,6 @@ the same optimal |delta|; subsets are reported in the original input order.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,11 @@ from .poset import (
 BRUTE_MAX_N = 24
 PRUNED_MAX_N = 24
 DP_MAX_CELLS = 10**8
+SWEEP_DP_MAX_CELLS = 1 << 22  # _full_sweep reads v* from the DP bitset up to here
 _BLOCK_BITS = 20  # the enumeration scans 2**20-delta (8 MB) blocks
+_SWEEP_CHUNK = 1 << 14  # most candidate masks _full_sweep tests at once
+_SWEEP_PY_MAX_N = 16  # up to here _full_sweep walks DP-sized instances in pure Python
+_SWEEP_POPS = 256  # solve_pruned's pop budget before _full_sweep
 
 ALGORITHMS = ("brute", "dp", "qenum", "pruned", "minfast", "corollary", "auto")
 
@@ -53,10 +56,15 @@ class Solution:
 
 
 def _delta_table(c: tuple[int, ...]) -> np.ndarray:
-    # all 2^n signed differences; exact in int64 because totals fit in 63 bits
-    d = np.zeros(1, dtype=np.int64)
-    for ci in c:
-        d = np.concatenate([d - ci, d + ci])
+    # all 2^n signed differences, weight i taken + in the masks with bit i;
+    # exact in int64 because totals fit in 63 bits and the upper half is
+    # filled by adding c[i] twice, each step a signed sum of the weights
+    d = np.empty(1 << len(c), dtype=np.int64)
+    d[0] = -sum(c)
+    for i, ci in enumerate(c):
+        upper = d[1 << i:2 << i]
+        np.add(d[:1 << i], ci, out=upper)
+        upper += ci
     return d
 
 
@@ -121,6 +129,27 @@ def solve_brute(inst: Instance) -> Solution:
     return _make_solution(inst, mask, d, "brute", scanned)
 
 
+def _reachable_sums(c: tuple[int, ...]) -> list[int]:
+    """Bitsets of the subset sums of c[:i] for i = 0..n: bit s is set when
+    some subset of those weights sums to s."""
+    sums = [1]
+    for ci in c:
+        sums.append(sums[-1] | sums[-1] << ci)
+    return sums
+
+
+def _closest_sum(reach: int, total: int) -> int:
+    """The reachable sum s closest to total/2, preferring s above it on ties;
+    |2 s - total| is then the optimal |delta|."""
+    half = total // 2
+    s_lo = (reach & ((1 << (half + 1)) - 1)).bit_length() - 1
+    rest = reach >> (half + 1)
+    if not rest:
+        return s_lo
+    s_hi = half + 1 + ((rest & -rest).bit_length() - 1)
+    return s_hi if 2 * s_hi - total <= total - 2 * s_lo else s_lo
+
+
 def solve_dp(inst: Instance) -> Solution:
     """Pseudo-polynomial oracle: reachable subset sums as bitsets.
 
@@ -130,23 +159,8 @@ def solve_dp(inst: Instance) -> Solution:
     n, total = inst.n, inst.total
     if n * (total + 1) > DP_MAX_CELLS:
         raise TooLarge(f"DP table would exceed {DP_MAX_CELLS} cells")
-    reach = 1
-    snapshots = [1]
-    for ci in inst.c:
-        reach |= reach << ci
-        snapshots.append(reach)
-    half = total // 2
-    s_lo = (reach & ((1 << (half + 1)) - 1)).bit_length() - 1
-    rest = reach >> (half + 1)
-    if rest:
-        s_hi = half + 1 + ((rest & -rest).bit_length() - 1)
-        if 2 * s_hi - total <= total - 2 * s_lo:
-            s = s_hi
-        else:
-            s = s_lo
-    else:
-        s = s_lo
-    chosen = s
+    snapshots = _reachable_sums(inst.c)
+    s = chosen = _closest_sum(snapshots[-1], total)
     mask = 0
     for i in range(n - 1, -1, -1):
         if not snapshots[i] >> s & 1:  # unreachable without item i+1: take it
@@ -202,7 +216,8 @@ def solve_pruned(inst: Instance) -> Solution:
 
     Unless the parity stop fires, the ascent pops every negative element of
     Q(n), which is exactly half of it (see ``_full_sweep``).  So after
-    ``4 << n // 2`` pops it computes the optimum by meet-in-the-middle, in
+    ``min(4 << n // 2, 256)`` pops it computes the optimum, from the DP
+    bitset when that is small and by meet-in-the-middle otherwise, in
     O(2**(n/2)) extra memory: if the parity stop is still to come, the ascent
     resumes; otherwise it returns the sweep's outcome, ``nodes_visited``
     included, without running the sweep.
@@ -245,7 +260,7 @@ def solve_pruned(inst: Instance) -> Solution:
     # Each popped node offers its addition cover, then its swap covers in
     # ascending bit order; a cover key above `full` has negative delta.
     nonneg_minimal = visited
-    check_at = nonneg_minimal + (4 << n // 2)
+    check_at = nonneg_minimal + min(4 << n // 2, _SWEEP_POPS)
     while heap:
         if visited == check_at and (swept := _full_sweep(inst)) is not None:
             return _make_solution(inst, *swept, "pruned", q_size(n) // 2 + nonneg_minimal)
@@ -284,6 +299,36 @@ def solve_pruned(inst: Instance) -> Solution:
     return _make_solution(inst, best_mask, best_d, "pruned", visited)
 
 
+def _negative_lower_covers(c: tuple[int, ...], best: int) -> list[tuple[int, int]]:
+    """The moves whose delta gain exceeds ``best``, as (flip, bit) pairs: a
+    mask w with w & flip == bit has the lower cover w ^ flip, whose delta is
+    negative when w's is ``best``.  The addition (gain 2 c[n-1]) clears the
+    top bit, and the swap at bits (j, j + 1) (gain 2 (c[j] - c[j+1])) turns
+    1, 0 into 0, 1."""
+    n = len(c)
+    moves = [(1 << n - 1, 1 << n - 1)] if 2 * c[n - 1] > best else []
+    return moves + [(3 << j, 1 << j) for j in range(n - 1) if 2 * (c[j] - c[j + 1]) > best]
+
+
+def _first_recorded(c: tuple[int, ...], best: int, q: np.ndarray, minimal: list[int]) -> int:
+    """``_full_sweep``'s walk in pure Python, for instances within the DP
+    bound up to n = _SWEEP_PY_MAX_N: on tables this small, numpy's fixed
+    cost per call, paid again after each stretch of pure Python, would
+    exceed the whole walk.  The low signed sums are grouped by value, so
+    each high sum hd lists the masks of delta ``best`` in ascending order."""
+    h = len(c) // 2
+    moves = _negative_lower_covers(c, best)
+    by_sum: dict[int, list[int]] = {}
+    for lo, d in enumerate(_delta_table(c[:h]).tolist()):
+        by_sum.setdefault(d, []).append(lo)
+    for t, hd in enumerate(_delta_table(c[h:]).tolist()):
+        for lo in by_sum.get(best - hd, ()):
+            w = t << h | lo
+            if q[w] and (w in minimal or any(w & f == b and q[w ^ f] for f, b in moves)):
+                return w
+    raise AssertionError("no recorded element of Q(n) has the optimal delta")
+
+
 def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     """The (mask, delta) that ``solve_pruned``'s ascent ends with, or None
     when its parity stop will fire.
@@ -292,50 +337,61 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     negative element of Q(n) is reached through negative ones: without the
     parity stop the ascent pops all of them, and records exactly the
     nonnegative elements of Q(n) that are minimal or have a negative lower
-    cover in Q(n).  The optimum v* comes from the sorted signed sums of the
-    low n // 2 weights, searched for each sum of the high ones (Horowitz &
-    Sahni).  If v* equals the total's parity, the ascent stops on it;
-    otherwise no element has delta 0, negation halves Q(n), and the answer
-    is the smallest recorded mask with delta v*, found by listing the masks
-    with that delta in ascending order.
+    cover in Q(n).  The optimum v* comes from the reachable-sum bitset when
+    ``n * (total + 1)`` is at most SWEEP_DP_MAX_CELLS, and otherwise from the
+    sorted signed sums of the low n // 2 weights, searched for each sum of
+    the high ones (Horowitz & Sahni).  If v* equals the total's parity, the
+    ascent stops on it; otherwise no element has delta 0, negation halves
+    Q(n), and the answer is the smallest recorded mask with delta v*, found
+    by testing the masks with that delta in ascending order, a chunk at a
+    time (``_first_recorded`` does it one at a time for small instances).
     """
-    n, c = inst.n, inst.c
+    n, c, total = inst.n, inst.c, inst.total
+    best = None
+    if n * (total + 1) <= SWEEP_DP_MAX_CELLS:
+        best = abs(2 * _closest_sum(_reachable_sums(c)[-1], total) - total)
+        if best == total & 1:
+            return None
     h = n // 2
-    lows, highs = _delta_table(c[:h]).tolist(), _delta_table(c[h:]).tolist()
-    order = sorted(range(1 << h), key=lows.__getitem__)  # stable: ties by mask
-    keys = [lows[lo] for lo in order]
-    best = inst.total
-    for hd in highs:  # the nearest low sums on either side of -hd
-        i = bisect_left(keys, -hd)
-        if i < len(keys) and keys[i] + hd < best:
-            best = keys[i] + hd
-        if i and -hd - keys[i - 1] < best:
-            best = -hd - keys[i - 1]
-    if best == inst.total & 1:
-        return None
     q = q_membership_table(n)
-    minimal = {min_element_mask(n, k) for k in range((n - 1) // 2 + 1)}
-    # the lower covers that undo a move whose delta gain exceeds v*, so that
-    # they are negative: the addition (gain 2 c[n-1]) clears the top bit, and
-    # the swap at bits (j, j + 1) (gain 2 (c[j] - c[j+1])) turns 1, 0 into 0, 1
-    add_bit = 1 << (n - 1) if 2 * c[n - 1] > best else 0
-    swaps = sum(1 << j for j in range(n - 1) if 2 * (c[j] - c[j + 1]) > best)
-    for t, hd in enumerate(highs):
-        target = best - hd
-        i = bisect_left(keys, target)
-        while i < len(keys) and keys[i] == target:
-            w = t << h | order[i]
-            i += 1
-            if not q[w]:
-                continue
-            if w in minimal or (w & add_bit and q[w ^ add_bit]):
-                return w, best
-            pat = w & ~(w >> 1) & swaps
-            while pat:
-                b = pat & -pat
-                if q[w + b]:
-                    return w, best
-                pat ^= b
+    minimal = [min_element_mask(n, k) for k in range((n - 1) // 2 + 1)]
+    if best is not None and n <= _SWEEP_PY_MAX_N:
+        return _first_recorded(c, best, q, minimal), best
+    lows, highs = _delta_table(c[:h]), _delta_table(c[h:])
+    order = np.argsort(lows, kind="stable")  # ties by mask
+    keys = lows[order]
+    i = np.searchsorted(keys, -highs)  # the first low sum >= -hd
+    nearest = keys.take(i, mode="clip") + highs
+    if best is None:
+        # negating every sign shows that v* is attained with delta +v*,
+        # which the first low sum >= -hd of that row gives: no need to look
+        # below -hd
+        best = int(np.abs(nearest).min())
+        if best == total & 1:
+            return None
+    # A low sum in [-hd, v* - hd) would beat v*, so the masks t << h | lo
+    # with delta v* are those of the rows t whose first low sum >= -hd is
+    # v* - hd, from index i[t] on.  v* <= c[0], a low weight, so
+    # |v* - hd| <= c[0] + sum(c[h:]) <= total: no int64 overflow.
+    rows = np.flatnonzero(nearest == best)
+    first = i[rows]
+    counts = np.searchsorted(keys, best - highs[rows], "right") - first
+    ends = np.cumsum(counts)
+    offset = ends - counts - first  # candidate p of row r is order[p - offset[r]]
+    flip, bit = np.array(_negative_lower_covers(c, best), dtype=np.int64).reshape(-1, 2).T
+    # ascending masks, in chunks that double up to _SWEEP_CHUNK: the answer
+    # is often among the first few of thousands of candidates
+    start, size = 0, min(256, _SWEEP_CHUNK)
+    while start < ends[-1]:
+        p = np.arange(start, min(start + size, int(ends[-1])))
+        r = np.searchsorted(ends, p, "right")
+        w = rows[r] << h | order[p - offset[r]]
+        w = w[q[w]]
+        wc = w[:, None]
+        hit = (wc == minimal).any(axis=1) | (((wc & flip) == bit) & q[wc ^ flip]).any(axis=1)
+        if hit.any():
+            return int(w[hit.argmax()]), best
+        start, size = start + size, min(2 * size, _SWEEP_CHUNK)
     raise AssertionError("no recorded element of Q(n) has the optimal delta")
 
 

@@ -14,6 +14,7 @@ import heapq
 import itertools
 
 from partition_posets import apply_addition, apply_swap, delta, extremes, negate
+from partition_posets.poset import min_element_mask, q_membership_table
 
 
 def entries_of(mask: int, n: int) -> tuple[int, ...]:
@@ -275,6 +276,66 @@ def pruned_ascent(values: list[int]) -> tuple[tuple[int, ...], int, int]:
                 heapq.heappush(heap, (-dw, w))
     d, mask = best
     return tuple(sorted(order[i] + 1 for i in range(n) if mask >> i & 1)), d, visited
+
+
+def signed_sums(weights) -> list[int]:
+    """All 2^len signed sums; bit i of the index is the sign of weight i."""
+    d = [0]
+    for w in weights:
+        d = [x - w for x in d] + [x + w for x in d]
+    return d
+
+
+def full_sweep_by_bisect(inst):
+    """``solver._full_sweep`` in pure Python: the (mask, delta) that the
+    pruned ascent ends with when its parity stop never fires, or None when
+    it does.
+
+    The optimum v* comes from the sorted signed sums of the low n // 2
+    weights, bisected for each signed sum of the high ones (Horowitz &
+    Sahni).  If v* is not the total's parity, the masks with delta v* are
+    listed in ascending order, and the first one in Q(n) that the ascent
+    records wins: a minimal element, or one with a lower cover in Q(n) whose
+    delta is negative.
+    """
+    n, c = inst.n, inst.c
+    h = n // 2
+    lows, highs = signed_sums(c[:h]), signed_sums(c[h:])
+    order = sorted(range(1 << h), key=lows.__getitem__)  # stable: ties by mask
+    keys = [lows[lo] for lo in order]
+    best = inst.total
+    for hd in highs:  # the nearest low sums on either side of -hd
+        i = bisect.bisect_left(keys, -hd)
+        if i < len(keys) and keys[i] + hd < best:
+            best = keys[i] + hd
+        if i and -hd - keys[i - 1] < best:
+            best = -hd - keys[i - 1]
+    if best == inst.total & 1:
+        return None
+    q = q_membership_table(n)
+    minimal = {min_element_mask(n, k) for k in range((n - 1) // 2 + 1)}
+    # the lower covers that undo a move whose delta gain exceeds v*, so that
+    # they are negative: the addition (gain 2 c[n-1]) clears the top bit, and
+    # the swap at bits (j, j + 1) (gain 2 (c[j] - c[j+1])) turns 1, 0 into 0, 1
+    add_bit = 1 << (n - 1) if 2 * c[n - 1] > best else 0
+    swaps = sum(1 << j for j in range(n - 1) if 2 * (c[j] - c[j + 1]) > best)
+    for t, hd in enumerate(highs):
+        target = best - hd
+        i = bisect.bisect_left(keys, target)
+        while i < len(keys) and keys[i] == target:
+            w = t << h | order[i]
+            i += 1
+            if not q[w]:
+                continue
+            if w in minimal or (w & add_bit and q[w ^ add_bit]):
+                return w, best
+            pat = w & ~(w >> 1) & swaps
+            while pat:
+                b = pat & -pat
+                if q[w + b]:
+                    return w, best
+                pat ^= b
+    raise AssertionError("no recorded element of Q(n) has the optimal delta")
 
 
 def _certificate(inst, v, d, tried):

@@ -529,8 +529,11 @@ def test_width_falls_back_to_dilworth_on_a_non_peck_dag(monkeypatch):
         # an edge inside one level: that level is no antichain, so its size
         # (2) is no lower bound and the certificate must not answer
         ({0: 0, 1: 0}, [(0, 1)], 1),
+        # a, c -> b -> d, e inside one level: reachability must follow the
+        # edges, not the ranks, or a < d is missed and three chains appear
+        ({0: 0, 1: 0, 2: 0, 3: 0, 4: 0}, [(0, 2), (1, 2), (2, 3), (2, 4)], 2),
     ],
-    ids=["skipped-rank", "flat-edge"],
+    ids=["skipped-rank", "flat-edge", "flat-bowtie"],
 )
 def test_width_skips_the_certificate_on_ungraded_edges(monkeypatch, ranked, edges, width):
     dag = _hand_dag(ranked, edges)
@@ -542,12 +545,26 @@ def test_width_skips_the_certificate_on_ungraded_edges(monkeypatch, ranked, edge
     assert calls == [len(dag.nodes)]
 
 
-def test_width_caps_only_the_dilworth_fallback():
-    # the certificate answers Q(14) above the cap (tested above); a DAG that
-    # fails the grading guard and is larger than the cap is refused
-    big = _hand_dag({m: 0 for m in range(poset.WIDTH_MAX_NODES + 1)}, [(0, 1)])
+def test_width_caps_only_the_dilworth_fallback(monkeypatch):
+    # the certificate answers Q(14) far above the cap (tested above); the
+    # fallback is capped by comparable pairs, not nodes: a chain inside one
+    # level (no grading) with one pair too many is refused, while more
+    # nodes than Q(12) has, with one pair, are answered
+    k = 2
+    while k * (k + 1) // 2 <= poset.WIDTH_MAX_PAIRS:
+        k += 1
+    chain = _hand_dag({m: 0 for m in range(k + 1)}, [(m, m + 1) for m in range(k)])
     with pytest.raises(TooLarge, match="Dilworth width fallback"):
-        poset_width(big)
+        poset_width(chain)
+    wide = _hand_dag({m: 0 for m in range(4096)}, [(0, 1)])
+    assert poset_width(wide) == 4095
+    # the bound itself: the three pairs of a three-node chain
+    small = _hand_dag({0: 0, 1: 0, 2: 0}, [(0, 1), (1, 2)])
+    monkeypatch.setattr(poset, "WIDTH_MAX_PAIRS", 3)
+    assert poset_width(small) == 1
+    monkeypatch.setattr(poset, "WIDTH_MAX_PAIRS", 2)
+    with pytest.raises(TooLarge, match="capped at 2 comparable pairs"):
+        poset_width(small)
 
 
 def test_dilworth_fallback_agrees_with_the_certificate():

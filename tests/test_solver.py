@@ -1,3 +1,4 @@
+import heapq
 import random
 import tracemalloc
 
@@ -201,9 +202,10 @@ def _spy_full_sweep(monkeypatch):
 
 def test_pruned_matches_naive_ascent(monkeypatch):
     # same traversal as the reference: subset, delta and pop count all agree,
-    # for each way a call ends after 4 << n // 2 pops: the parity stop before
-    # the check, the parity stop after it (the ascent resumes), or the full
-    # sweep answered in closed form
+    # for each way a call ends after min(4 << n // 2, 256) pops: the parity
+    # stop before the check, the parity stop after it (the check, DP filter
+    # included, returns None and the ascent resumes), or the full sweep
+    # answered in closed form
     outcomes = _spy_full_sweep(monkeypatch)
     rng = random.Random(97)
     stops = sweeps = 0
@@ -249,13 +251,18 @@ def test_pruned_matches_naive_ascent_property(family, n, rng):
 @pytest.mark.parametrize("name", ["phase", "parity_gap"])
 @pytest.mark.parametrize("n", [16, 21, 24])
 def test_pruned_full_sweep_in_closed_form(n, name, monkeypatch):
-    # instances without the parity stop, answered by the check: the naive
-    # ascent at n = 16 is the reference, above it brute and the count formula
+    # instances without the parity stop, answered by the check after 256
+    # pops: the naive ascent at n = 16 is the reference, above it brute and
+    # the count formula
     outcomes = _spy_full_sweep(monkeypatch)
+    pops = []
+    heappop = heapq.heappop
+    monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(1) or heappop(heap))
     raw = PRUNED_FAMILIES[name](random.Random(n), n)
     inst = normalize_instance(raw)
     sol = solve_pruned(inst)
     assert len(outcomes) == 1 and outcomes[0] is not None
+    assert len(pops) == 256
     assert sol.abs_delta > inst.total % 2
     if n == 16:
         assert (sol.subset.indices, sol.delta, sol.nodes_visited) == oracles.pruned_ascent(raw)
@@ -282,6 +289,61 @@ def test_pruned_closed_form_at_every_n():
             continue
         nonneg_minimal = sum(delta(v, inst) >= 0 for v in extremes(inst.n).minimal)
         assert _outcome(inst, *got, q_size(inst.n) // 2 + nonneg_minimal) == (subset, d, visited), raw
+
+
+SWEEP_FAMILIES = {
+    **PRUNED_FAMILIES,
+    # odd n with an even weight: optimum 2 * weight above parity 0, with
+    # C(n, (n + 1) // 2) masks reaching it
+    "all_equal": lambda rng, n: [2 * rng.randint(1, 3)] * n,
+    "zeros": lambda rng, n: [rng.choice((0, rng.randint(1, 60))) for _ in range(n)],
+}
+
+
+@pytest.mark.parametrize("dp_filter", [True, False], ids=["dp-filter", "kernel-only"])
+def test_full_sweep_matches_bisect_oracle(dp_filter, monkeypatch):
+    # the check against the pure-Python bisect sweep it replaced, with v*
+    # read from the DP bitset where it is small (walked in pure Python up to
+    # n = 16, in numpy above), and with that filter off (numpy throughout, in
+    # chunks small enough that walks cross chunk boundaries)
+    if not dp_filter:
+        monkeypatch.setattr(solver, "SWEEP_DP_MAX_CELLS", 0)
+        monkeypatch.setattr(solver, "_SWEEP_CHUNK", 64)
+    rng = random.Random(331)
+    walks = {"python": 0, "numpy": 0}
+    for n in range(3, 23):
+        for name, draw in SWEEP_FAMILIES.items():
+            for _ in range(4 if n <= 16 else 1):
+                inst = normalize_instance(draw(rng, n))
+                expected = oracles.full_sweep_by_bisect(inst)
+                assert solver._full_sweep(inst) == expected, (name, inst.c)
+                if expected is not None:
+                    small = n * (inst.total + 1) <= solver.SWEEP_DP_MAX_CELLS
+                    walks["python" if small and n <= 16 else "numpy"] += 1
+    assert walks["numpy"] > 50
+    assert walks["python"] > 100 if dp_filter else walks["python"] == 0
+
+
+@pytest.mark.parametrize("n", range(17, 23))
+def test_pruned_int64_headroom(n, monkeypatch):
+    # totals just below 2**63 without a certificate: the closed-form sweep's
+    # int64 signed sums and targets v* - hd must not overflow
+    outcomes = _spy_full_sweep(monkeypatch)
+    rng = random.Random(1000 + n)
+    mean = 2**63 // n
+    while True:
+        raw = [rng.randrange(mean // 2, 3 * mean // 2) for _ in range(n - 1)]
+        raw.append(2**63 - 1 - sum(raw) - rng.randrange(1 << 32))
+        if raw[-1] < mean // 2:
+            continue
+        inst = normalize_instance(raw)
+        if solve_min_fastpath(inst) is None and solve_corollary(inst) is None:
+            break
+    assert 2**63 - 2**33 < inst.total < 2**63
+    sol = solve(inst, "pruned")
+    assert len(outcomes) == 1 and outcomes[0] is not None
+    assert sol.abs_delta == solve_brute(inst).abs_delta > inst.total % 2
+    assert recompute(raw, sol.subset) == sol.delta
 
 
 @pytest.mark.parametrize("n", [21, 22, 24])
