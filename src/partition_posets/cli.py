@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import counting, poset, solver
 from .core import normalize_instance
 from .errors import EmptyInput, ParseError, PartitionPosetsError, UnknownCheck
@@ -114,18 +116,34 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def render_dot(dag: poset.HasseDag) -> str:
-    """Deterministic DOT text: sign-string node ids, one rank per layer."""
-    lines = [f'digraph "{dag.kind.value}{dag.n}" {{', "  rankdir=LR;", "  node [shape=box];"]
-    label = {v.mask: f'"{v.sign_string()}"' for v in dag.nodes}
-    by_rank: dict[int, list[str]] = {}
-    for v in dag.nodes:  # nodes are in ascending bitmask order
-        by_rank.setdefault(dag.rank_of[v], []).append(label[v.mask] + ";")
-    for r in sorted(by_rank):
-        lines.append(f"  {{ rank=same; {' '.join(by_rank[r])} }}")
-    # build_hasse emits edges in ascending (mask, mask) order
-    lines.extend(f"  {label[v.mask]} -> {label[w.mask]};" for v, w in dag.edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Deterministic DOT text: sign-string node ids, one rank per layer.
+
+    Every label has length n, so node tokens and edge lines are fixed-width
+    byte rows, each filled from a template row and then its labels: a rank
+    line is one slice of the node tokens sorted by rank, and the edge lines,
+    in DAG order, are written straight into the output buffer.
+    """
+    n, edges = dag.n, len(dag.lower)
+    bits = (dag.masks[:, None] >> np.arange(n)) & 1
+    labels = np.where(bits == 1, ord("+"), ord("-")).astype(np.uint8)
+    by_rank = np.argsort(dag.ranks, kind="stable")  # ascending masks within a rank
+    tokens = np.empty((len(by_rank), n + 4), dtype=np.uint8)
+    tokens[:] = np.frombuffer(f'"{"-" * n}"; '.encode(), np.uint8)
+    tokens[:, 1:n + 1] = labels[by_rank]
+    tokens = str(tokens, "ascii")
+    lines = [f'digraph "{dag.kind.value}{n}" {{', "  rankdir=LR;", "  node [shape=box];"]
+    _, starts = np.unique(dag.ranks[by_rank], return_index=True)
+    for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(by_rank)]):
+        lines.append(f"  {{ rank=same; {tokens[a * (n + 4):b * (n + 4)]}}}")
+    head = ("\n".join(lines) + "\n").encode()
+    out = np.empty(len(head) + edges * (2 * n + 12) + 2, dtype=np.uint8)
+    out[:len(head)] = np.frombuffer(head, np.uint8)
+    rows = out[len(head):-2].reshape(edges, 2 * n + 12)
+    rows[:] = np.frombuffer(f'  "{"-" * n}" -> "{"-" * n}";\n'.encode(), np.uint8)
+    rows[:, 3:n + 3] = labels[dag.lower]
+    rows[:, n + 9:2 * n + 9] = labels[dag.upper]
+    out[-2:] = np.frombuffer(b"}\n", np.uint8)
+    return str(out, "ascii")
 
 
 def _cmd_hasse(args: argparse.Namespace) -> int:

@@ -47,3 +47,7 @@ class UnknownAlgorithm(PartitionPosetsError):
 
 class ParseError(PartitionPosetsError):
     """An instance file could not be parsed."""
+
+
+class WidthUncertified(PartitionPosetsError):
+    """The level-chain certificate does not establish a DAG's width."""

@@ -10,11 +10,12 @@ last entry up, and swapping an adjacent (-1, +1) pair.
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Iterable, Iterator
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -26,11 +27,11 @@ from .errors import (
     TooLarge,
     TooSmall,
     UnknownCheck,
+    WidthUncertified,
 )
 
 ENUM_MAX_N = 24
 DAG_MAX_N = {"P": 14, "Q": 16}
-WIDTH_MAX_PAIRS = 800_000  # Q(12) has 752,688; the Dilworth fallback takes about 2 s there
 _TABLE_MAX_N = 24  # vectorized membership tables built up to here
 _PROFILE_ENUM_MAX_N = 14  # the profiles check also enumerates R+ and Q up to here
 
@@ -67,8 +68,8 @@ def _prefix_extrema(n: int) -> tuple[np.ndarray, np.ndarray]:
     half's shifted by the low half's final sum, so both extrema are an outer
     combination of two 2**(n/2) tables.
     """
-    if not 1 <= n <= _TABLE_MAX_N:
-        raise ValueError(f"tables kept for 1 <= n <= {_TABLE_MAX_N}")
+    if n > _TABLE_MAX_N:
+        raise TooLarge(f"membership tables stop at n = {_TABLE_MAX_N}")
     h = n // 2
     s_lo, mn_lo, mx_lo = _half_extrema(h)
     _, mn_hi, mx_hi = _half_extrema(n - h)
@@ -241,7 +242,11 @@ def meet_join(v: SignVector, w: SignVector) -> tuple[SignVector, SignVector]:
 
 
 def iter_poset(n: int, kind: PosetKind, *, force: bool = False) -> Iterator[SignVector]:
-    """Yield every element of the named poset once, in ascending bitmask order."""
+    """Yield every element of the named poset once, in ascending bitmask order.
+
+    ``force`` lifts the enumeration cap for P; the other kinds are read from
+    membership tables, which stop at n = 24 regardless.
+    """
     if n < 1:
         raise TooSmall("n must be at least 1")
     if n > MAX_N:
@@ -252,74 +257,112 @@ def iter_poset(n: int, kind: PosetKind, *, force: bool = False) -> Iterator[Sign
         for mask in range(1 << n):
             yield SignVector(n, mask)
         return
-    if n <= _TABLE_MAX_N:
-        if kind is PosetKind.Q:
-            sel = q_membership_table(n)
-        else:
-            mn, mx = _prefix_extrema(n)
-            sel = mn >= 0 if kind is PosetKind.R_PLUS else mx <= 0
-        for mask in np.nonzero(sel)[0]:
-            yield SignVector(n, int(mask))
+    if kind is PosetKind.Q:
+        sel = q_membership_table(n)
     else:
-        for mask in range(1 << n):
-            v = SignVector(n, mask)
-            if membership(v) is kind:
-                yield v
+        mn, mx = _prefix_extrema(n)
+        sel = mn >= 0 if kind is PosetKind.R_PLUS else mx <= 0
+    for mask in np.flatnonzero(sel):
+        yield SignVector(n, int(mask))
 
 
 @dataclass(frozen=True, eq=False)
 class HasseDag:
-    """Cover-relation DAG of P(n) or Q(n); treat as immutable once built.
+    """Cover-relation DAG of P(n) or Q(n), held as numpy arrays.
 
-    Nodes are in ascending bitmask order and edges in ascending
-    (lower mask, upper mask) order; each edge holds the node objects.
+    ``masks`` holds the nodes' bitmasks in ascending order and ``ranks``
+    their ranks, as ``rank`` gives them.  Edge e runs from node
+    ``lower[e]`` up to node ``upper[e]`` (indices into ``masks``); edges are
+    in ascending (lower mask, upper mask) order.  ``build_hasse`` makes the
+    arrays read-only; treat the DAG as immutable.  ``nodes``, ``edges`` and
+    ``rank_of`` give the same DAG as ``SignVector`` objects, derived on
+    first access.
     """
 
     kind: PosetKind
     n: int
-    nodes: tuple[SignVector, ...]
-    edges: tuple[tuple[SignVector, SignVector], ...]
-    rank_of: dict[SignVector, int]
+    masks: np.ndarray
+    ranks: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @cached_property
+    def nodes(self) -> tuple[SignVector, ...]:
+        return tuple(SignVector(self.n, m) for m in self.masks.tolist())
+
+    @cached_property
+    def edges(self) -> tuple[tuple[SignVector, SignVector], ...]:
+        pairs = zip(self.lower.tolist(), self.upper.tolist())
+        return tuple((self.nodes[i], self.nodes[j]) for i, j in pairs)
+
+    @cached_property
+    def rank_of(self) -> Mapping[SignVector, int]:
+        return MappingProxyType(dict(zip(self.nodes, self.ranks.tolist())))
 
 
 def build_hasse(n: int, kind: PosetKind, *, force: bool = False) -> HasseDag:
-    """Operator-generated covers over the enumerated node set.
+    """Operator-generated covers over the member masks, one operator at a time.
 
-    For kind Q the same cover operators apply, filtered by membership; that is
-    exact because Q is graded by the same rank function as P.  Ranks are read
-    from the masks as in ``rank``: the sum of n - i over the set bits i,
-    shifted down by n for Q.
+    Column c of a (nodes x n) table marks where cover operator c applies:
+    first the swaps of an adjacent (-1, +1) pair at bits j, j + 1 for j
+    descending, which map mask m to m - 2**j, then the addition at the last
+    entry, which maps m to m + 2**(n - 1).  Each node's covers thus come in
+    ascending mask order, and the table's row-major order is ascending
+    (lower mask, upper mask) order.  For kind Q an operator counts only
+    where its target is a member; that is exact because Q is graded by the
+    same rank function as P.
     """
     if kind not in (PosetKind.P, PosetKind.Q):
         raise ValueError("Hasse DAGs are built for kinds P and Q")
+    if n < 1:
+        raise TooSmall("n must be at least 1")
+    if n > MAX_N:
+        raise TooLarge(f"sign vectors are capped at n = {MAX_N}")
     limit = DAG_MAX_N[kind.value]
     if n > limit and not force:
         raise TooLarge(
             f"{kind.value}({n}) DAG capped at n = {limit} (force=True overrides)"
         )
-    nodes = tuple(iter_poset(n, kind, force=force))
-    node_of = {v.mask: v for v in nodes}
-    edges = []
-    for v in nodes:
-        for m in _cover_masks(v.mask, n):
-            w = node_of.get(m)
-            if w is not None:
-                edges.append((v, w))
-    bits = np.array(list(node_of), dtype=np.int64)[:, None] >> np.arange(n) & 1
-    ranks = bits @ np.arange(n, 0, -1) - (n if kind is PosetKind.Q else 0)
-    rank_of = dict(zip(nodes, ranks.tolist()))
-    return HasseDag(kind=kind, n=n, nodes=nodes, edges=tuple(edges), rank_of=rank_of)
+    if n > _TABLE_MAX_N:
+        raise TooLarge(f"DAGs are built from membership tables, which stop at n = {_TABLE_MAX_N}")
+    member = q_membership_table(n) if kind is PosetKind.Q else np.ones(1 << n, dtype=bool)
+    masks = np.flatnonzero(member)
+    index = np.cumsum(member) - 1  # node index of each member mask
+    # (shift, field, value): the operator applies where mask >> shift & field == value
+    ops = [(j, 3, 2) for j in range(n - 2, -1, -1)] + [(n - 1, 1, 0)]
+    keep = np.empty((len(masks), n), dtype=bool)
+    for c, (shift, field, value) in enumerate(ops):
+        keep[:, c] = (((masks >> shift) & field) == value) & member[masks ^ field << shift]
+    rows, cols = np.nonzero(keep)
+    flips = np.array([field << shift for shift, field, _ in ops], dtype=np.int64)
+    upper = index[masks[rows] ^ flips[cols]]
+    ranks = _mask_ranks(masks, n) - (n if kind is PosetKind.Q else 0)
+    for a in (masks, ranks, rows, upper):
+        a.setflags(write=False)
+    return HasseDag(kind=kind, n=n, masks=masks, ranks=ranks, lower=rows, upper=upper)
+
+
+def _mask_ranks(masks: np.ndarray, n: int) -> np.ndarray:
+    """P rank of each mask: the sum of n - i over its set bits i."""
+    ranks = np.zeros(len(masks), dtype=np.int64)
+    for i in range(n):
+        ranks += ((masks >> i) & 1) * (n - i)
+    return ranks
 
 
 def poset_height(dag: HasseDag) -> int:
-    """Size of the longest chain: 1 + longest path, by rank-ordered DP."""
-    if not dag.nodes:
+    """Size of the longest chain: 1 + longest path, by a DP over the rank
+    levels from the lowest up, which needs every edge to climb in rank, as
+    every edge ``build_hasse`` makes does."""
+    if not len(dag.masks):
         return 0
-    dist: dict[SignVector, int] = {v: 0 for v in dag.nodes}
-    for v, w in sorted(dag.edges, key=lambda e: dag.rank_of[e[0]]):
-        if dist[v] + 1 > dist[w]:
-            dist[w] = dist[v] + 1
-    return max(dist.values()) + 1
+    start = dag.ranks[dag.lower]
+    order = np.argsort(start, kind="stable")
+    cuts = np.flatnonzero(np.diff(start[order])) + 1
+    dist = np.zeros(len(dag.masks), dtype=np.int64)
+    for level in np.split(order, cuts):
+        np.maximum.at(dist, dag.upper[level], dist[dag.lower[level]] + 1)
+    return int(dist.max()) + 1
 
 
 def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
@@ -387,121 +430,56 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
     return pair_u
 
 
-def _level_chains(dag: HasseDag) -> list[tuple[SignVector, ...]] | None:
+def _level_chains(dag: HasseDag) -> np.ndarray | None:
     """Chain partition from maximum matchings between adjacent rank levels.
 
     Each level r is matched to level r + 1 over the cover edges between them
     only.  Every node then has at most one partner up and one down, so the
     matched pairs link into disjoint chains of consecutive covers, |V| minus
-    the total matching size of them.  Each chain is listed bottom up, and
-    the chains are ordered by their lowest node.  Returns None unless every
-    edge climbs exactly one rank.
+    the total matching size of them.  Returns ``above``, each node's
+    successor on its chain as a node index, or -1 at the top of a chain;
+    returns None unless every edge climbs exactly one rank.
     """
-    nodes = dag.nodes
-    index = {v.mask: i for i, v in enumerate(nodes)}  # one length n: masks differ
-    ranks = [dag.rank_of[v] for v in nodes]
-    levels: dict[int, list[int]] = {}
-    slot = []  # position of each node within its level
-    for i, r in enumerate(ranks):
-        level = levels.setdefault(r, [])
-        slot.append(len(level))
-        level.append(i)
-    up = {r: [[] for _ in level] for r, level in levels.items()}
-    for v, w in dag.edges:
-        i, j = index[v.mask], index[w.mask]
-        if ranks[j] != ranks[i] + 1:
-            return None
-        up[ranks[i]][slot[i]].append(slot[j])
-    above = [-1] * len(nodes)
-    for r, level in levels.items():
-        if r + 1 in levels:
-            upper = levels[r + 1]
-            for i, j in zip(level, _hopcroft_karp(up[r], len(upper))):
-                if j != -1:
-                    above[i] = upper[j]
-    tops = set(above)
-    chains = []
-    for i in range(len(nodes)):
-        if i not in tops:
-            chain = [nodes[i]]
-            while above[i] != -1:
-                i = above[i]
-                chain.append(nodes[i])
-            chains.append(tuple(chain))
-    return chains
-
-
-def _dilworth_width(dag: HasseDag) -> int:
-    """Dilworth: the width equals the minimum number of chains covering the
-    poset, which is node count minus a maximum matching on the strict
-    comparability graph, i.e. the number of unmatched left vertices.
-
-    The matching's cost follows the number of comparable pairs, not of
-    nodes (P(11) has fewer nodes than Q(12) but 1.8 times its pairs, and
-    takes over twice as long), so the pairs are counted from the reachability
-    bitsets as they are built and capped at WIDTH_MAX_PAIRS.
-    """
-    nv = len(dag.nodes)
-    index = {v: i for i, v in enumerate(dag.nodes)}
-    succ: list[list[int]] = [[] for _ in range(nv)]
-    for v, w in dag.edges:
-        succ[index[v]].append(index[w])
-    # a topological order from the edges, not the ranks, which a DAG that
-    # fails the grading guard need not respect
-    indegree = [0] * nv
-    for out in succ:
-        for j in out:
-            indegree[j] += 1
-    order = [i for i in range(nv) if not indegree[i]]
-    for i in order:  # grows as nodes lose their last incoming edge
-        for j in succ[i]:
-            indegree[j] -= 1
-            if not indegree[j]:
-                order.append(j)
-    # strict reachability as bitsets, successors first
-    reach = [0] * nv
-    pairs = 0
-    for i in reversed(order):
-        r = 0
-        for j in succ[i]:
-            r |= reach[j] | (1 << j)
-        reach[i] = r
-        pairs += r.bit_count()
-        if pairs > WIDTH_MAX_PAIRS:
-            raise TooLarge(
-                f"the Dilworth width fallback is capped at {WIDTH_MAX_PAIRS} comparable pairs"
-            )
-    adj = []
-    for i in range(nv):
-        bits = []
-        r = reach[i]
-        while r:
-            b = r & -r
-            bits.append(b.bit_length() - 1)
-            r &= r - 1
-        adj.append(bits)
-    return _hopcroft_karp(adj, nv).count(-1)
+    ranks, lower, upper = dag.ranks, dag.lower, dag.upper
+    if np.any(ranks[upper] != ranks[lower] + 1):
+        return None
+    order = np.argsort(ranks, kind="stable")  # levels, each in ascending mask order
+    _, starts, sizes = np.unique(ranks[order], return_index=True, return_counts=True)
+    slot = np.empty(len(ranks), dtype=np.int64)  # position of each node within its level
+    slot[order] = np.arange(len(ranks)) - np.repeat(starts, sizes)
+    # edges are sorted by lower node, so each node's up-slots are one run
+    bounds = np.searchsorted(lower, np.arange(len(ranks) + 1)).tolist()
+    up_slots = slot[upper].tolist()
+    above = np.full(len(ranks), -1, dtype=np.int64)
+    levels = np.split(order, starts[1:])
+    for level, next_level in zip(levels, levels[1:]):
+        adj = [up_slots[bounds[i]:bounds[i + 1]] for i in level.tolist()]
+        partner = np.array(_hopcroft_karp(adj, len(next_level)), dtype=np.int64)
+        matched = partner >= 0
+        above[level[matched]] = next_level[partner[matched]]
+    return above
 
 
 def poset_width(dag: HasseDag) -> int:
-    """Largest antichain size, exactly.
+    """Largest antichain size, certified by chains between rank levels.
 
-    First the level-chain certificate: if every edge climbs exactly one
-    rank (the grading guard), each rank level is an antichain, so the
-    largest level bounds the width from below, while the chains linked from
-    maximum matchings between adjacent levels bound it from above.  When
-    the two counts agree, that count is the width.  Otherwise, or when the
-    DAG is not graded, the Dilworth fallback matches over the full strict
-    comparability graph (capped at WIDTH_MAX_PAIRS comparable pairs).  The
-    peak rank level is never assumed to realize the width: the certificate
-    verifies that it does, and the fallback does not rely on it.
+    If every edge climbs exactly one rank, each rank level is an antichain,
+    so the largest level bounds the width from below, while the chains
+    linked from maximum matchings between adjacent levels (``_level_chains``)
+    bound it from above.  When the two counts agree, that count is the
+    width.  P(n) is Peck (Stanley 1980), so the counts agree on every P DAG;
+    they also agree on every Q DAG ``build_hasse`` makes within its caps.
+    Where they do not, ``WidthUncertified`` is raised: the peak rank level
+    is never assumed to realize the width.
     """
-    chains = _level_chains(dag)
-    if chains is not None:
-        peak = max(Counter(dag.rank_of[v] for v in dag.nodes).values(), default=0)
-        if len(chains) == peak:
+    above = _level_chains(dag)
+    if above is not None:
+        peak = int(np.unique(dag.ranks, return_counts=True)[1].max(initial=0))
+        if len(above) - np.count_nonzero(above >= 0) == peak:
             return peak
-    return _dilworth_width(dag)
+    raise WidthUncertified(
+        f"the level-chain certificate does not hold on this {dag.kind.value}({dag.n}) DAG"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +516,10 @@ def _psums_matrix(n: int) -> np.ndarray:
 
 
 def _leq_matrix(ps: np.ndarray) -> np.ndarray:
-    m = ps.shape[0]
-    out = np.empty((m, m), dtype=bool)
-    for i in range(m):
-        out[i] = np.all(ps[i] <= ps, axis=1)
+    # out[i, j]: row i is at most row j in every column
+    out = np.ones((len(ps), len(ps)), dtype=bool)
+    for col in ps.T:
+        out &= col[:, None] <= col[None, :]
     return out
 
 
@@ -561,13 +539,13 @@ def _reduction_matrix(strict: np.ndarray) -> np.ndarray:
 
 def _check_covers(n: int) -> CheckResult:
     strict = _order_matrix(n) & ~np.eye(1 << n, dtype=bool)
-    q_idx = np.nonzero(q_membership_table(n))[0]
+    q_idx = np.flatnonzero(q_membership_table(n))
     for kind, idx in ((PosetKind.P, np.arange(1 << n)), (PosetKind.Q, q_idx)):
-        expected = set(zip(*np.nonzero(_reduction_matrix(strict[np.ix_(idx, idx)]))))
+        expected = _reduction_matrix(strict[np.ix_(idx, idx)])
         dag = build_hasse(n, kind)
-        pos = {int(m): i for i, m in enumerate(idx)}
-        got = {(pos[v.mask], pos[w.mask]) for v, w in dag.edges}
-        if got != expected:
+        got = np.zeros_like(expected)
+        got[dag.lower, dag.upper] = True
+        if not (np.array_equal(dag.masks, idx) and np.array_equal(got, expected)):
             return CheckResult(
                 "covers", False,
                 detail=f"operator covers != transitive reduction for {kind.value}({n})",
@@ -646,13 +624,10 @@ def _check_dominance(n: int) -> CheckResult:
 
 
 def _check_graded(n: int) -> CheckResult:
-    idx = np.nonzero(q_membership_table(n))[0]
-    sub_ps = _psums_matrix(n)[idx]
+    idx = np.flatnonzero(q_membership_table(n))
     strict = _order_matrix(n)[np.ix_(idx, idx)] & ~np.eye(len(idx), dtype=bool)
     covers = _reduction_matrix(strict)
-    # P-rank from prefix sums: their total equals the weighted entry sum
-    t = n * (n + 1) // 2
-    ranks = (sub_ps.sum(axis=1) + t) // 2
+    ranks = _mask_ranks(idx, n)
     for i, j in zip(*np.nonzero(covers)):
         if ranks[j] - ranks[i] != 1:
             return CheckResult(
@@ -679,16 +654,13 @@ def _check_profiles(n: int) -> CheckResult:
     if q.total != counting.q_size(n):
         return CheckResult("profiles", False, detail="Q size mismatch")
     if n <= _PROFILE_ENUM_MAX_N:
-        hist = [0] * (r + 1)
-        for v in iter_poset(n, PosetKind.R_PLUS):
-            hist[rank(v)] += 1
-        if tuple(hist) != rp.counts:
+        ranks = _mask_ranks(np.arange(1 << n), n)
+        mn, _ = _prefix_extrema(n)
+        if tuple(np.bincount(ranks[mn >= 0], minlength=r + 1).tolist()) != rp.counts:
             return CheckResult("profiles", False,
                                detail="R+ profile disagrees with enumeration")
-        qhist = [0] * max(len(q.counts), 1)
-        for v in iter_poset(n, PosetKind.Q):
-            qhist[rank(v, PosetKind.Q)] += 1
-        if tuple(qhist) != q.counts and q.counts:
+        qhist = np.bincount(ranks[q_membership_table(n)] - n, minlength=len(q.counts))
+        if tuple(qhist.tolist()) != q.counts and q.counts:
             return CheckResult("profiles", False,
                                detail="Q profile disagrees with enumeration")
     return CheckResult("profiles", True)

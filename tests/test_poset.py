@@ -4,6 +4,7 @@ import sys
 import threading
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from partition_posets import (
@@ -16,6 +17,7 @@ from partition_posets import (
     TooLarge,
     TooSmall,
     UnknownCheck,
+    WidthUncertified,
     apply_addition,
     apply_swap,
     build_hasse,
@@ -323,6 +325,8 @@ def test_enumeration_ascending_and_guarded():
         list(iter_poset(25, PosetKind.P))
     first = next(iter_poset(25, PosetKind.P, force=True))
     assert first.mask == 0
+    with pytest.raises(TooLarge, match="stop at n = 24"):
+        next(iter_poset(25, PosetKind.Q, force=True))
 
 
 def test_enumeration_force_stops_at_sign_vector_length():
@@ -368,12 +372,34 @@ def test_hasse_guards():
         build_hasse(4, PosetKind.R_PLUS)
 
 
-@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("kind", [PosetKind.P, PosetKind.Q])
+def test_forced_hasse_stops_at_the_table_cap(kind):
+    # force lifts the DAG caps, but the membership tables stop at n = 24
+    with pytest.raises(TooLarge, match="stop at n = 24"):
+        build_hasse(25, kind, force=True)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
 def test_heights_match_formulas(n):
+    # every buildable size: P(1..14) and Q(3..16)
     from partition_posets import height_formula
 
-    assert poset_height(build_hasse(n, PosetKind.P)) == height_formula(n, PosetKind.P)
-    assert poset_height(build_hasse(n, PosetKind.Q)) == height_formula(n, PosetKind.Q)
+    if n <= 14:
+        assert poset_height(build_hasse(n, PosetKind.P)) == height_formula(n, PosetKind.P)
+    if n >= 3:
+        assert poset_height(build_hasse(n, PosetKind.Q)) == height_formula(n, PosetKind.Q)
+
+
+@pytest.mark.parametrize(
+    "kind, sizes", [(PosetKind.P, range(1, 11)), (PosetKind.Q, range(3, 13))]
+)
+def test_array_dag_matches_object_build(kind, sizes):
+    for n in sizes:
+        dag = build_hasse(n, kind)
+        nodes, edges, rank_of = oracles.hasse_by_objects(n, kind)
+        assert dag.nodes == nodes, (kind, n)
+        assert dag.edges == edges, (kind, n)
+        assert dag.rank_of == rank_of, (kind, n)
 
 
 def test_width_p3_bruteforce():
@@ -406,7 +432,9 @@ def test_width_leaves_the_recursion_limit_alone(monkeypatch):
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     assert poset_width(build_hasse(9, PosetKind.P)) == width_value(9)
     assert poset_width(build_hasse(10, PosetKind.Q)) == width_value(10)
-    assert poset_width(_non_peck_dag()) == 3  # the Dilworth fallback's matching
+    with pytest.raises(WidthUncertified):
+        poset_width(_non_peck_dag())
+    assert oracles.dilworth_width(_non_peck_dag()) == 3  # the oracle's matching
 
 
 def test_width_in_two_threads_at_once():
@@ -417,7 +445,10 @@ def test_width_in_two_threads_at_once():
 
     def work():
         widths.append(poset_width(dag))
-        fallback_widths.append(poset_width(non_peck))
+        try:
+            poset_width(non_peck)
+        except WidthUncertified:
+            fallback_widths.append(oracles.dilworth_width(non_peck))
 
     threads = [threading.Thread(target=work) for _ in range(2)]
     interval = sys.getswitchinterval()
@@ -435,16 +466,18 @@ def test_width_in_two_threads_at_once():
 
 
 def _hand_dag(ranked: dict[int, int], edges: list[tuple[int, int]]) -> HasseDag:
-    # a HasseDag built by hand: node mask -> rank, and (lower, upper) mask pairs
+    # a HasseDag built by hand: node mask -> rank, and (lower, upper) mask
+    # pairs, listed in ascending order as build_hasse lists its edges
     n = max(1, max(ranked).bit_length())
-    nodes = tuple(SignVector(n, m) for m in sorted(ranked))
-    node_of = {v.mask: v for v in nodes}
+    masks = sorted(ranked)
+    index = {m: i for i, m in enumerate(masks)}
     return HasseDag(
         kind=PosetKind.P,
         n=n,
-        nodes=nodes,
-        edges=tuple((node_of[a], node_of[b]) for a, b in edges),
-        rank_of={v: ranked[v.mask] for v in nodes},
+        masks=np.array(masks, dtype=np.int64),
+        ranks=np.array([ranked[m] for m in masks], dtype=np.int64),
+        lower=np.array([index[a] for a, _ in edges], dtype=np.int64),
+        upper=np.array([index[b] for _, b in edges], dtype=np.int64),
     )
 
 
@@ -475,16 +508,18 @@ def _reach_leq(dag: HasseDag):
     return le
 
 
-def _spy_fallback(monkeypatch) -> list[int]:
-    calls = []
-    dilworth = poset._dilworth_width
-
-    def spy(dag):
-        calls.append(len(dag.nodes))
-        return dilworth(dag)
-
-    monkeypatch.setattr(poset, "_dilworth_width", spy)
-    return calls
+def _chains(dag: HasseDag, above) -> list[tuple[SignVector, ...]]:
+    # the chains linked by above, bottom up, ordered by their lowest node
+    tops = set(above.tolist())
+    chains = []
+    for i in range(len(above)):
+        if i not in tops:
+            chain = [dag.nodes[i]]
+            while above[i] != -1:
+                i = above[i]
+                chain.append(dag.nodes[i])
+            chains.append(tuple(chain))
+    return chains
 
 
 def _check_chain_partition(dag: HasseDag, chains) -> None:
@@ -502,23 +537,23 @@ def _check_chain_partition(dag: HasseDag, chains) -> None:
 def test_level_chains_certify_width_at_every_buildable_size(kind, sizes):
     for n in sizes:
         dag = build_hasse(n, kind)
-        chains = poset._level_chains(dag)
+        chains = _chains(dag, poset._level_chains(dag))
         _check_chain_partition(dag, chains)
         peak = max(Counter(dag.rank_of.values()).values())
         assert len(chains) == peak == width_value(n), (kind, n)
         assert poset_width(dag) == width_value(n), (kind, n)
 
 
-def test_width_falls_back_to_dilworth_on_a_non_peck_dag(monkeypatch):
+def test_width_refuses_a_non_peck_dag():
     dag = _non_peck_dag()
-    chains = poset._level_chains(dag)
+    chains = _chains(dag, poset._level_chains(dag))
     _check_chain_partition(dag, chains)
     assert len(chains) == 3 > max(Counter(dag.rank_of.values()).values()) == 2
-    calls = _spy_fallback(monkeypatch)
-    assert poset_width(dag) == 3 == oracles.max_antichain_bruteforce(
+    with pytest.raises(WidthUncertified, match="level-chain certificate"):
+        poset_width(dag)
+    assert oracles.dilworth_width(dag) == 3 == oracles.max_antichain_bruteforce(
         list(dag.nodes), _reach_leq(dag)
     )
-    assert calls == [4]
 
 
 @pytest.mark.parametrize(
@@ -535,35 +570,42 @@ def test_width_falls_back_to_dilworth_on_a_non_peck_dag(monkeypatch):
     ],
     ids=["skipped-rank", "flat-edge", "flat-bowtie"],
 )
-def test_width_skips_the_certificate_on_ungraded_edges(monkeypatch, ranked, edges, width):
+def test_width_skips_the_certificate_on_ungraded_edges(ranked, edges, width):
     dag = _hand_dag(ranked, edges)
     assert poset._level_chains(dag) is None
-    calls = _spy_fallback(monkeypatch)
-    assert poset_width(dag) == width == oracles.max_antichain_bruteforce(
+    with pytest.raises(WidthUncertified):
+        poset_width(dag)
+    assert oracles.dilworth_width(dag) == width == oracles.max_antichain_bruteforce(
         list(dag.nodes), _reach_leq(dag)
     )
-    assert calls == [len(dag.nodes)]
 
 
 def test_width_caps_only_the_dilworth_fallback(monkeypatch):
-    # the certificate answers Q(14) far above the cap (tested above); the
-    # fallback is capped by comparable pairs, not nodes: a chain inside one
-    # level (no grading) with one pair too many is refused, while more
-    # nodes than Q(12) has, with one pair, are answered
+    # the certificate has no cap: it answers Q(14), far above this one
+    # (tested above), and refuses each ungraded DAG below at once.  The
+    # Dilworth oracle is capped by comparable pairs, not nodes: a chain
+    # inside one level (no grading) with one pair too many is refused,
+    # while more nodes than Q(12) has, with one pair, are answered
     k = 2
-    while k * (k + 1) // 2 <= poset.WIDTH_MAX_PAIRS:
+    while k * (k + 1) // 2 <= oracles.WIDTH_MAX_PAIRS:
         k += 1
     chain = _hand_dag({m: 0 for m in range(k + 1)}, [(m, m + 1) for m in range(k)])
-    with pytest.raises(TooLarge, match="Dilworth width fallback"):
+    with pytest.raises(TooLarge, match="Dilworth width oracle"):
+        oracles.dilworth_width(chain)
+    with pytest.raises(WidthUncertified):
         poset_width(chain)
     wide = _hand_dag({m: 0 for m in range(4096)}, [(0, 1)])
-    assert poset_width(wide) == 4095
+    assert oracles.dilworth_width(wide) == 4095
+    with pytest.raises(WidthUncertified):
+        poset_width(wide)
     # the bound itself: the three pairs of a three-node chain
     small = _hand_dag({0: 0, 1: 0, 2: 0}, [(0, 1), (1, 2)])
-    monkeypatch.setattr(poset, "WIDTH_MAX_PAIRS", 3)
-    assert poset_width(small) == 1
-    monkeypatch.setattr(poset, "WIDTH_MAX_PAIRS", 2)
+    monkeypatch.setattr(oracles, "WIDTH_MAX_PAIRS", 3)
+    assert oracles.dilworth_width(small) == 1
+    monkeypatch.setattr(oracles, "WIDTH_MAX_PAIRS", 2)
     with pytest.raises(TooLarge, match="capped at 2 comparable pairs"):
+        oracles.dilworth_width(small)
+    with pytest.raises(WidthUncertified):
         poset_width(small)
 
 
@@ -571,7 +613,8 @@ def test_dilworth_fallback_agrees_with_the_certificate():
     for kind, sizes in ((PosetKind.P, range(1, 11)), (PosetKind.Q, range(3, 12))):
         for n in sizes:
             dag = build_hasse(n, kind)
-            assert poset._dilworth_width(dag) == len(poset._level_chains(dag)), (kind, n)
+            chains = _chains(dag, poset._level_chains(dag))
+            assert oracles.dilworth_width(dag) == len(chains), (kind, n)
 
 
 # ---------------------------------------------------------------------------
