@@ -375,6 +375,14 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
     pair_u = [-1] * n_left
     pair_v = [-1] * n_right
     dist = [inf] * n_left
+    # one greedy pass first: adjacent rank levels match almost perfectly, so
+    # few vertices are left for the BFS phases
+    for u, neighbours in enumerate(adj):
+        for v in neighbours:
+            if pair_v[v] == -1:
+                pair_u[u] = v
+                pair_v[v] = u
+                break
 
     def bfs() -> bool:
         queue = deque()
@@ -423,10 +431,13 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
                     path.pop()
         return False
 
-    while bfs():
+    # no matching outgrows the smaller side: once that is full, no BFS phase
+    # is needed to prove the matching maximum
+    size, cap = n_left - pair_u.count(-1), min(n_left, n_right)
+    while size < cap and bfs():
         for u in range(n_left):
             if pair_u[u] == -1:
-                dfs(u)
+                size += dfs(u)
     return pair_u
 
 

@@ -31,7 +31,9 @@ SWEEP_DP_MAX_CELLS = 1 << 22  # _full_sweep reads v* from the DP bitset up to he
 _BLOCK_BITS = 20  # the enumeration scans 2**20-delta (8 MB) blocks
 _SWEEP_CHUNK = 1 << 14  # most candidate masks _full_sweep tests at once
 _SWEEP_PY_MAX_N = 16  # up to here _full_sweep walks DP-sized instances in pure Python
-_SWEEP_POPS = 256  # solve_pruned's pop budget before _full_sweep
+# solve_pruned's pop budget before _full_sweep, where totals are within the
+# DP filter (parity stops are common) or n < 12 (the ascent is cheaper)
+_SWEEP_POPS = 256
 
 ALGORITHMS = ("brute", "dp", "qenum", "pruned", "minfast", "corollary", "auto")
 
@@ -210,17 +212,21 @@ def solve_pruned(inst: Instance) -> Solution:
     then its swap covers in ascending bit order, and ``nodes_visited`` counts
     pops plus nonnegative minimal elements.
 
-    Each call copies the cached 2**n-byte Q(n) table (16 MB at n = 24) into a
-    bytearray whose nonzero entries are the Q members not reached yet, so one
-    index answers both membership and the seen-set test.
+    The ascent copies the cached 2**n-byte Q(n) table (16 MB at n = 24) into
+    a bytearray whose nonzero entries are the Q members not reached yet, so
+    one index answers both membership and the seen-set test.
 
     Unless the parity stop fires, the ascent pops every negative element of
-    Q(n), which is exactly half of it (see ``_full_sweep``).  So after
-    ``min(4 << n // 2, 256)`` pops it computes the optimum, from the DP
-    bitset when that is small and by meet-in-the-middle otherwise, in
-    O(2**(n/2)) extra memory: if the parity stop is still to come, the ascent
-    resumes; otherwise it returns the sweep's outcome, ``nodes_visited``
-    included, without running the sweep.
+    Q(n), which is exactly half of it (see ``_full_sweep``).  So the call
+    computes the optimum, from the DP bitset when that is small and by
+    meet-in-the-middle otherwise, in O(2**(n/2)) extra memory: if the parity
+    stop is still to come, the ascent runs; otherwise it returns the sweep's
+    outcome, ``nodes_visited`` included, without running the sweep.  Within
+    the DP filter, where small totals make parity stops common, that check
+    comes after ``min(4 << n // 2, 256)`` pops.  Beyond it, large weights
+    make them rare, so from n = 12 on the check comes first, before any pop
+    or table copy; below n = 12 the whole ascent is cheaper than the check.
+    The outcome does not depend on when the check runs.
     """
     n = inst.n
     if n < 3:
@@ -228,6 +234,14 @@ def solve_pruned(inst: Instance) -> Solution:
     if n > PRUNED_MAX_N:
         raise TooLarge(f"pruned search is capped at n = {PRUNED_MAX_N}")
     c = inst.c
+    n_minimal = (n - 1) // 2 + 1
+    # beyond the DP filter parity stops are rare, and from n = 12 on the
+    # check costs less than the pops it would wait for: run it first
+    check_first = 4 << n // 2 >= _SWEEP_POPS and n * (inst.total + 1) > SWEEP_DP_MAX_CELLS
+    if check_first and (swept := _full_sweep(inst)) is not None:
+        # v* is above the parity, so no minimal element stops the ascent
+        nonneg_minimal = sum(2 * sum(c[k:2 * k + 1]) >= inst.total for k in range(n_minimal))
+        return _make_solution(inst, *swept, "pruned", q_size(n) // 2 + nonneg_minimal)
     parity = inst.total & 1
     full = (1 << n) - 1
     top_bit = 1 << (n - 1)
@@ -244,7 +258,7 @@ def solve_pruned(inst: Instance) -> Solution:
     visited = 0
     heap: list[int] = []
     push, pop = heapq.heappush, heapq.heappop
-    for k in range((n - 1) // 2 + 1):
+    for k in range(n_minimal):
         mask = min_element_mask(n, k)  # +1 exactly at entries k+1..2k+1
         fresh[mask] = 0
         d = 2 * sum(c[k:2 * k + 1]) - inst.total
@@ -260,7 +274,7 @@ def solve_pruned(inst: Instance) -> Solution:
     # Each popped node offers its addition cover, then its swap covers in
     # ascending bit order; a cover key above `full` has negative delta.
     nonneg_minimal = visited
-    check_at = nonneg_minimal + min(4 << n // 2, _SWEEP_POPS)
+    check_at = -1 if check_first else nonneg_minimal + min(4 << n // 2, _SWEEP_POPS)
     while heap:
         if visited == check_at and (swept := _full_sweep(inst)) is not None:
             return _make_solution(inst, *swept, "pruned", q_size(n) // 2 + nonneg_minimal)

@@ -544,6 +544,40 @@ def test_level_chains_certify_width_at_every_buildable_size(kind, sizes):
         assert poset_width(dag) == width_value(n), (kind, n)
 
 
+def _max_matching_size(adj, n_right):
+    # Kuhn's augmenting paths from each left vertex in turn, no greedy start
+    pair_v = [-1] * n_right
+
+    def augment(u, seen):
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                if pair_v[v] == -1 or augment(pair_v[v], seen):
+                    pair_v[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in range(len(adj)))
+
+
+def test_hopcroft_karp_after_its_greedy_start():
+    # the greedy pass takes each left vertex's first free neighbour, so
+    # [[0, 1], [0]] leaves vertex 1 for an augmenting path; random graphs of
+    # either shape must still reach Kuhn's maximum with a valid matching
+    assert poset._hopcroft_karp([[0, 1], [0]], 2) == [1, 0]
+    assert poset._hopcroft_karp([[0], [0], [1, 0]], 2) == [0, -1, 1]
+    rng = random.Random(41)
+    for _ in range(300):
+        n_left, n_right = rng.randint(0, 12), rng.randint(1, 12)
+        p = rng.choice((0.1, 0.25, 0.5))
+        adj = [[v for v in range(n_right) if rng.random() < p] for _ in range(n_left)]
+        pair_u = poset._hopcroft_karp(adj, n_right)
+        matched = [(u, v) for u, v in enumerate(pair_u) if v >= 0]
+        assert all(v in adj[u] for u, v in matched)
+        assert len({v for _, v in matched}) == len(matched)
+        assert len(matched) == _max_matching_size(adj, n_right), adj
+
+
 def test_width_refuses_a_non_peck_dag():
     dag = _non_peck_dag()
     chains = _chains(dag, poset._level_chains(dag))

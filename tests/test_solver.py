@@ -251,9 +251,10 @@ def test_pruned_matches_naive_ascent_property(family, n, rng):
 @pytest.mark.parametrize("name", ["phase", "parity_gap"])
 @pytest.mark.parametrize("n", [16, 21, 24])
 def test_pruned_full_sweep_in_closed_form(n, name, monkeypatch):
-    # instances without the parity stop, answered by the check after 256
-    # pops: the naive ascent at n = 16 is the reference, above it brute and
-    # the count formula
+    # instances without the parity stop, answered in closed form: phase
+    # weights are beyond the DP filter, so the check runs before any pop;
+    # parity_gap is within it, so the check runs after 256 pops.  The naive
+    # ascent at n = 16 is the reference, above it brute and the count formula
     outcomes = _spy_full_sweep(monkeypatch)
     pops = []
     heappop = heapq.heappop
@@ -262,7 +263,7 @@ def test_pruned_full_sweep_in_closed_form(n, name, monkeypatch):
     inst = normalize_instance(raw)
     sol = solve_pruned(inst)
     assert len(outcomes) == 1 and outcomes[0] is not None
-    assert len(pops) == 256
+    assert len(pops) == {"phase": 0, "parity_gap": 256}[name]
     assert sol.abs_delta > inst.total % 2
     if n == 16:
         assert (sol.subset.indices, sol.delta, sol.nodes_visited) == oracles.pruned_ascent(raw)
@@ -271,6 +272,65 @@ def test_pruned_full_sweep_in_closed_form(n, name, monkeypatch):
     assert recompute(raw, sol.subset) == sol.delta
     nonneg_minimal = sum(delta(v, inst) >= 0 for v in extremes(n).minimal)
     assert sol.nodes_visited == q_size(n) // 2 + nonneg_minimal
+
+
+def _duplicated_halves(rng, n):
+    # 40-bit weights, each half drawn once and repeated: a perfect partition
+    # beyond the DP filter, so the check returns None and the ascent stops
+    half = [rng.randrange(1 << 39, 1 << 40) for _ in range(n // 2)]
+    return half + half + [0] * (n % 2)
+
+
+def test_pruned_kernel_path_matches_naive_ascent(monkeypatch):
+    # weights beyond the DP filter: from n = 12 on the check runs before the
+    # first pop and before the Q-table copy, below n = 12 after the pops, and
+    # each order gives the reference's subset, delta and pop count
+    pops = []
+    heappop = heapq.heappop
+    monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(1) or heappop(heap))
+    copies = []
+    monkeypatch.setattr(solver, "bytearray", lambda t: copies.append(1) or bytearray(t), raising=False)
+    checks = []
+    full_sweep = solver._full_sweep
+
+    def spy(inst):
+        checks.append((len(pops), full_sweep(inst)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(solver, "_full_sweep", spy)
+    families = {
+        "bits62": PRUNED_FAMILIES["bits62"],
+        "phase": PRUNED_FAMILIES["phase"],
+        "duplicated_halves": _duplicated_halves,
+    }
+    rng = random.Random(12)
+    seen = set()
+    for n in range(3, 17):
+        for name, draw in families.items():
+            if name == "phase" and n < 14:  # within the DP filter
+                continue
+            for _ in range(3 if n < 14 else 1):
+                raw = draw(rng, n)
+                inst = normalize_instance(raw)
+                assert n * (inst.total + 1) > solver.SWEEP_DP_MAX_CELLS
+                ref = oracles.pruned_ascent(raw)  # pops through heapq as well
+                for log in (pops, copies, checks):
+                    log.clear()
+                sol = solve_pruned(inst)
+                assert (sol.subset.indices, sol.delta, sol.nodes_visited) == ref, raw
+                assert len(checks) <= 1
+                if n >= 12:
+                    assert checks and checks[0][0] == 0
+                    if checks[0][1] is not None:
+                        assert not pops and not copies
+                        seen.add("closed form before the first pop")
+                    else:
+                        assert copies == [1] and sol.abs_delta == inst.total % 2
+                        seen.add("None, then a parity stop")
+                elif checks and checks[0][0] > 0:
+                    assert copies == [1]
+                    seen.add("check after the pops")
+    assert seen == {"closed form before the first pop", "None, then a parity stop", "check after the pops"}
 
 
 def test_pruned_closed_form_at_every_n():
