@@ -4,10 +4,15 @@ The library materializes the poset of {+1,-1} vectors under prefix-sum
 dominance and its middle subposet of vectors incomparable with zero, verifies
 their structural properties exactly, and solves the optimization version of
 the partition problem through candidate reduction over that subposet.
+
+The names from ``poset``, whose module imports numpy, are loaded on first
+access, so importing the package, solving with a certificate or the DP, and
+counting rank profiles do not import numpy.
 """
 
 from .core import (
     Instance,
+    PosetKind,
     SignVector,
     SubsetRef,
     delta,
@@ -15,6 +20,7 @@ from .core import (
     from_subset,
     iso_f,
     leq,
+    membership,
     negate,
     normalize_instance,
     prefix_sums,
@@ -49,26 +55,6 @@ from .errors import (
     UnknownCheck,
     WidthUncertified,
 )
-from .poset import (
-    CheckResult,
-    Extremes,
-    HasseDag,
-    PosetKind,
-    apply_addition,
-    apply_swap,
-    build_hasse,
-    extremes,
-    iter_poset,
-    lower_covers,
-    m_dominance_leq,
-    meet_join,
-    membership,
-    poset_height,
-    poset_width,
-    rank,
-    upper_covers,
-    verify_structure,
-)
 from .solver import (
     ALGORITHMS,
     Solution,
@@ -82,6 +68,39 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+_POSET_NAMES = frozenset({
+    "CheckResult",
+    "Extremes",
+    "HasseDag",
+    "apply_addition",
+    "apply_swap",
+    "build_hasse",
+    "extremes",
+    "iter_poset",
+    "lower_covers",
+    "m_dominance_leq",
+    "meet_join",
+    "poset_height",
+    "poset_width",
+    "rank",
+    "upper_covers",
+    "verify_structure",
+})
+
+
+def __getattr__(name: str):
+    # PEP 562: the first access to a poset name imports .poset (and numpy)
+    if name in _POSET_NAMES:
+        from . import poset
+
+        value = globals()[name] = getattr(poset, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _POSET_NAMES)
 
 __all__ = [
     "ALGORITHMS",

@@ -13,13 +13,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import counting, poset, solver
-from .core import normalize_instance
+from . import counting, solver
+from .core import PosetKind, normalize_instance
 from .errors import EmptyInput, ParseError, PartitionPosetsError, UnknownCheck
-from .poset import PosetKind
+
+if TYPE_CHECKING:
+    from .poset import HasseDag
+
+# .poset and numpy are imported by the commands that build tables (hasse,
+# verify, and profile's DAG cross-check), so solve and profile start without them
 
 
 def read_instance_file(path: str) -> list[int]:
@@ -95,6 +99,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     checks = counting.profile_checks(profile)
     height_dag = None
     if n <= 12 and size > 0:
+        from . import poset
+
         height_dag = poset.poset_height(poset.build_hasse(n, kind))
     payload = {
         "poset": kind.value,
@@ -115,7 +121,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def render_dot(dag: poset.HasseDag) -> str:
+def render_dot(dag: HasseDag) -> str:
     """Deterministic DOT text: sign-string node ids, one rank per layer.
 
     Every label has length n, so node tokens and edge lines are fixed-width
@@ -123,6 +129,8 @@ def render_dot(dag: poset.HasseDag) -> str:
     line is one slice of the node tokens sorted by rank, and the edge lines,
     in DAG order, are written straight into the output buffer.
     """
+    import numpy as np
+
     n, edges = dag.n, len(dag.lower)
     bits = (dag.masks[:, None] >> np.arange(n)) & 1
     labels = np.where(bits == 1, ord("+"), ord("-")).astype(np.uint8)
@@ -149,6 +157,8 @@ def render_dot(dag: poset.HasseDag) -> str:
 def _cmd_hasse(args: argparse.Namespace) -> int:
     if args.force:
         print("warning: size guards lifted; this may take a long time", file=sys.stderr)
+    from . import poset
+
     dag = poset.build_hasse(args.n, PosetKind(args.poset), force=args.force)
     dot = render_dot(dag)
     if args.out:
@@ -164,6 +174,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         checks = [s.strip() for s in checks.split(",") if s.strip()]
         if not checks:
             raise UnknownCheck("--checks names no check")
+    from . import poset
+
     failed = False
     payload = []
     for res in poset.verify_structure(args.n, checks):

@@ -5,12 +5,18 @@ and -1 elsewhere; the signed partition difference of S is the inner product of
 that vector with the instance weights.  The order compares running sums
 componentwise, so comparability of two vectors decides the inequality of their
 differences for every weight vector at once.
+
+The poset kinds, the classification of one vector among them and the masks
+of Q(n)'s extremal elements live here too: they are pure Python, so the
+certificate solvers and the counting layer need none of the numpy tables
+in ``poset``.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, LengthMismatch, NegativeValue, Overflow, TooLarge
@@ -97,6 +103,13 @@ class SubsetRef:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+class PosetKind(Enum):
+    P = "P"
+    Q = "Q"
+    R_PLUS = "R+"
+    R_MINUS = "R-"
 
 
 @dataclass(frozen=True)
@@ -212,3 +225,31 @@ def diff_vector(inst: Instance) -> tuple[int, ...]:
 def iso_f(v: SignVector) -> SubsetRef:
     """Image of v in the subset-dominance world: i is in the image iff entry n+1-i is +1."""
     return SubsetRef(tuple(sorted(v.n - i for i in range(v.n) if v.mask >> i & 1)), v.n)
+
+
+def membership(v: SignVector) -> PosetKind:
+    """Classify v: above zero (R+), below zero (R-), or in the middle poset Q."""
+    above = below = True
+    s = 0
+    for i in range(v.n):
+        s += 1 if v.mask >> i & 1 else -1
+        if s < 0:
+            above = False
+        elif s > 0:
+            below = False
+    if above:
+        return PosetKind.R_PLUS
+    if below:
+        return PosetKind.R_MINUS
+    return PosetKind.Q
+
+
+def max_element_mask(n: int, k: int) -> int:
+    """Maximal element k of Q(n): k ones, then k+1 minus-ones, then ones."""
+    head = (1 << k) - 1
+    return head | (((1 << (n - 2 * k - 1)) - 1) << (2 * k + 1))
+
+
+def min_element_mask(n: int, k: int) -> int:
+    """Minimal element k of Q(n): k minus-ones, then k+1 ones, then minus-ones."""
+    return ((1 << (k + 1)) - 1) << k

@@ -21,9 +21,8 @@ import math
 import threading
 from dataclasses import dataclass
 
-from .core import MAX_COUNT_N
+from .core import MAX_COUNT_N, PosetKind
 from .errors import TooLarge, TooSmall
-from .poset import PosetKind
 
 U128_LIMIT = 1 << 128
 _SLOT_BYTES = MAX_COUNT_N // 8 + 1  # holds any count below 2**MAX_COUNT_N

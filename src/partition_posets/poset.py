@@ -12,14 +12,25 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .core import MAX_COUNT_N, MAX_N, SignVector, SubsetRef, leq, negate, prefix_sums
+from .core import (  # PosetKind, membership and the extremal masks are re-exported
+    MAX_COUNT_N,
+    MAX_N,
+    PosetKind,
+    SignVector,
+    SubsetRef,
+    leq,
+    max_element_mask,
+    membership,
+    min_element_mask,
+    negate,
+    prefix_sums,
+)
 from .errors import (
     LengthMismatch,
     NotInPoset,
@@ -34,13 +45,6 @@ ENUM_MAX_N = 24
 DAG_MAX_N = {"P": 14, "Q": 16}
 _TABLE_MAX_N = 24  # vectorized membership tables built up to here
 _PROFILE_ENUM_MAX_N = 14  # the profiles check also enumerates R+ and Q up to here
-
-
-class PosetKind(Enum):
-    P = "P"
-    Q = "Q"
-    R_PLUS = "R+"
-    R_MINUS = "R-"
 
 
 # ---------------------------------------------------------------------------
@@ -85,23 +89,6 @@ def q_membership_table(n: int) -> np.ndarray:
     table = (mn < 0) & (mx > 0)
     table.setflags(write=False)
     return table
-
-
-def membership(v: SignVector) -> PosetKind:
-    """Classify v: above zero (R+), below zero (R-), or in the middle poset Q."""
-    above = below = True
-    s = 0
-    for i in range(v.n):
-        s += 1 if v.mask >> i & 1 else -1
-        if s < 0:
-            above = False
-        elif s > 0:
-            below = False
-    if above:
-        return PosetKind.R_PLUS
-    if below:
-        return PosetKind.R_MINUS
-    return PosetKind.Q
 
 
 def rank(v: SignVector, kind: PosetKind = PosetKind.P) -> int:
@@ -187,17 +174,6 @@ class Extremes:
     @property
     def ell(self) -> int:
         return (self.n - 1) // 2
-
-
-def max_element_mask(n: int, k: int) -> int:
-    """Maximal element k of Q(n): k ones, then k+1 minus-ones, then ones."""
-    head = (1 << k) - 1
-    return head | (((1 << (n - 2 * k - 1)) - 1) << (2 * k + 1))
-
-
-def min_element_mask(n: int, k: int) -> int:
-    """Minimal element k of Q(n): k minus-ones, then k+1 ones, then minus-ones."""
-    return ((1 << (k + 1)) - 1) << k
 
 
 def extremes(n: int) -> Extremes:

@@ -11,18 +11,23 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import Instance, SubsetRef
-from .counting import q_size
-from .errors import TooLarge, TooSmall, UnknownAlgorithm
-from .poset import (
+from .core import (
+    Instance,
+    SubsetRef,
     max_element_mask,
     membership,  # not called here: bench/tracing.py wraps solver.membership
     min_element_mask,
-    q_membership_table,
 )
+from .counting import q_size
+from .errors import TooLarge, TooSmall, UnknownAlgorithm
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy and the Q tables in .poset are imported inside the functions that
+# build or read 2**n tables, so the certificates and the DP start without them
 
 BRUTE_MAX_N = 24
 PRUNED_MAX_N = 24
@@ -61,6 +66,8 @@ def _delta_table(c: tuple[int, ...]) -> np.ndarray:
     # all 2^n signed differences, weight i taken + in the masks with bit i;
     # exact in int64 because totals fit in 63 bits and the upper half is
     # filled by adding c[i] twice, each step a signed sum of the weights
+    import numpy as np
+
     d = np.empty(1 << len(c), dtype=np.int64)
     d[0] = -sum(c)
     for i, ci in enumerate(c):
@@ -101,6 +108,8 @@ def _scan_blocks(inst: Instance, q_rows: np.ndarray | None = None) -> tuple[int,
     scanned in ascending t and only a strictly smaller |delta| replaces the
     best, so ties resolve to the smallest mask.
     """
+    import numpy as np
+
     h = min(inst.n, _BLOCK_BITS)
     lows = _delta_table(inst.c[:h])
     tops = _delta_table(inst.c[h:])  # at most 2**4 entries
@@ -192,6 +201,8 @@ def solve_q_enum(inst: Instance) -> Solution:
         raise TooSmall("Q(n) is empty for n < 3")
     if n > BRUTE_MAX_N:
         raise TooLarge(f"enumeration is capped at n = {BRUTE_MAX_N}")
+    from .poset import q_membership_table
+
     q_rows = q_membership_table(n).reshape(-1, 1 << min(n, _BLOCK_BITS))
     mask, d, scanned = _scan_blocks(inst, q_rows)
     return _make_solution(inst, mask, d, "qenum", scanned)
@@ -252,6 +263,8 @@ def solve_pruned(inst: Instance) -> Solution:
     # gain, so its key is the parent's plus a constant step per cover.
     add_step = top_bit - (2 * c[n - 1] << n)
     swap_step = {1 << i: -(1 << i) - (2 * (c[i] - c[i + 1]) << n) for i in range(n - 1)}
+    from .poset import q_membership_table
+
     fresh = bytearray(q_membership_table(n))  # in Q(n) and not reached yet
     best_d = inst.total + 1  # above every delta
     best_mask = -1
@@ -360,6 +373,10 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     by testing the masks with that delta in ascending order, a chunk at a
     time (``_first_recorded`` does it one at a time for small instances).
     """
+    import numpy as np
+
+    from .poset import q_membership_table
+
     n, c, total = inst.n, inst.c, inst.total
     best = None
     if n * (total + 1) <= SWEEP_DP_MAX_CELLS:
@@ -463,6 +480,8 @@ def solve(inst: Instance, algo: str = "auto") -> Solution | None:
     search, falling back to the DP oracle for tiny or oversized n.
 
     Only "minfast" and "corollary" may return None (no certificate applies).
+    Above n = PRUNED_MAX_N, an "auto" call that no certificate answers and
+    whose DP table is over DP_MAX_CELLS raises a ``TooLarge`` naming both caps.
     """
     if algo == "brute":
         return solve_brute(inst)
@@ -486,4 +505,11 @@ def solve(inst: Instance, algo: str = "auto") -> Solution | None:
             return sol
         if inst.n <= PRUNED_MAX_N:
             return solve_pruned(inst)
+        try:
+            return solve_dp(inst)
+        except TooLarge:
+            raise TooLarge(
+                f"no certificate applies at n = {inst.n}; pruned search is capped at "
+                f"n = {PRUNED_MAX_N} and the DP table would exceed {DP_MAX_CELLS} cells"
+            ) from None
     return solve_dp(inst)

@@ -312,12 +312,13 @@ def test_unexpected_exception_exits_3(monkeypatch, tmp_path, capsys):
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
-    from partition_posets import cli
+    # cli imports poset when verify runs, so the patch goes on poset itself
+    from partition_posets import poset
     from partition_posets.poset import CheckResult
 
     def fake_verify(n, checks):
         return [CheckResult("covers", False, detail="injected failure")]
 
-    monkeypatch.setattr(cli.poset, "verify_structure", fake_verify)
+    monkeypatch.setattr(poset, "verify_structure", fake_verify)
     assert main(["verify", "5", "--checks", "covers"]) == 1
     assert "covers: FAIL" in capsys.readouterr().out

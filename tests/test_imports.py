@@ -1,0 +1,121 @@
+"""Which modules each entry point loads, and the package's lazy namespace.
+
+numpy and ``partition_posets.poset`` are imported only by the paths that
+build or read 2**n tables; the import graph is checked in fresh interpreters,
+since this test process has long since loaded both.
+"""
+
+import importlib
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import partition_posets
+from partition_posets import core, poset
+
+SRC = str(Path(partition_posets.__file__).resolve().parent.parent)
+TABLE_MODULES = ["numpy", "partition_posets.poset"]
+
+# imports the package, then the command line, then runs the command line on
+# its own arguments (if any); prints the table modules loaded after each step
+PROBE = """
+import contextlib, io, json, sys
+tables = lambda: [m for m in %r if m in sys.modules]
+loaded = {}
+import partition_posets
+loaded["package"] = tables()
+import partition_posets.cli as cli
+loaded["cli"] = tables()
+out, code = io.StringIO(), 0
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(out):
+        code = cli.main(sys.argv[1:])
+loaded["main"] = tables()
+print(json.dumps({"loaded": loaded, "code": code, "out": out.getvalue()}))
+""" % (TABLE_MODULES,)
+
+
+def _probe(*argv: str) -> tuple[list[str], str]:
+    """Table modules loaded by ``cli.main(argv)`` in a fresh interpreter, and
+    its output; importing the package and the command line loads none."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0, result
+    assert result["loaded"]["package"] == result["loaded"]["cli"] == []
+    return result["loaded"]["main"], result["out"]
+
+
+def _solve_argv(tmp_path, weights) -> list[str]:
+    path = tmp_path / "instance.txt"
+    path.write_text(" ".join(map(str, weights)) + "\n")
+    return ["solve", str(path), "--json"]
+
+
+def test_imports_load_no_tables():
+    assert _probe() == ([], "")
+
+
+def test_profile_loads_no_tables():
+    loaded, out = _probe("profile", "120")
+    assert f"size: {2**120 - 2 * math.comb(120, 60)}\n" in out
+    assert loaded == []
+
+
+@pytest.mark.parametrize("weights, algo", [
+    ([10, 3, 2, 1], "minfast"),
+    ([10, 6, 5, 2], "corollary"),
+    (list(range(1, 31)), "dp"),
+])
+def test_certificate_and_dp_solves_load_no_tables(tmp_path, weights, algo):
+    loaded, out = _probe(*_solve_argv(tmp_path, weights))
+    assert json.loads(out)["algo"] == algo
+    assert loaded == []
+
+
+def test_table_commands_load_numpy_and_poset(tmp_path):
+    loaded, out = _probe("hasse", "5")
+    assert out.startswith('digraph "Q5"') and loaded == TABLE_MODULES
+    loaded, out = _probe(*_solve_argv(tmp_path, [6, 5, 4, 3, 3, 1]))
+    assert json.loads(out)["algo"] == "pruned" and loaded == TABLE_MODULES
+
+
+# ---------------------------------------------------------------------------
+# the package namespace
+
+
+def test_every_public_name_is_its_home_object():
+    # the home is the defining module; ALGORITHMS, a tuple, has no __module__
+    for name in partition_posets.__all__:
+        obj = getattr(partition_posets, name)
+        home = importlib.import_module(getattr(obj, "__module__", "partition_posets.solver"))
+        assert home.__name__ != "partition_posets" and getattr(home, name) is obj, name
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace: dict = {}
+    exec("from partition_posets import *", namespace)
+    assert set(partition_posets.__all__) <= namespace.keys()
+    for name in partition_posets.__all__:
+        assert namespace[name] is getattr(partition_posets, name), name
+    assert set(partition_posets.__all__) <= set(dir(partition_posets))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        partition_posets.no_such_name  # noqa: B018
+    assert not hasattr(partition_posets, "numpy")
+
+
+def test_poset_reexports_the_core_primitives():
+    assert poset.PosetKind is core.PosetKind
+    assert poset.membership is core.membership
+    assert poset.min_element_mask is core.min_element_mask
+    assert poset.max_element_mask is core.max_element_mask

@@ -566,6 +566,18 @@ def test_auto_reaches_pruned():
     assert sol.abs_delta == solve_brute(inst_of(10, 6, 5, 2)).abs_delta
 
 
+def test_auto_too_large_names_both_caps():
+    # n = 30 and 40-bit weights: no certificate, beyond pruned and the DP
+    rng = random.Random(30)
+    inst = normalize_instance([rng.randint(1, 2**40) for _ in range(30)])
+    assert solve_min_fastpath(inst) is None and solve_corollary(inst) is None
+    message = ("no certificate applies at n = 30; pruned search is capped at n = 24 "
+               "and the DP table would exceed 100000000 cells")
+    with pytest.raises(TooLarge) as excinfo:
+        solve(inst, "auto")
+    assert str(excinfo.value) == message
+
+
 def test_explicit_guard_propagates():
     with pytest.raises(TooLarge):
         solve(normalize_instance([1] * 30), "brute")
