@@ -36,9 +36,6 @@ SWEEP_DP_MAX_CELLS = 1 << 22  # _full_sweep reads v* from the DP bitset up to he
 _BLOCK_BITS = 20  # the enumeration scans 2**20-delta (8 MB) blocks
 _SWEEP_CHUNK = 1 << 14  # most candidate masks _full_sweep tests at once
 _SWEEP_PY_MAX_N = 16  # up to here _full_sweep walks DP-sized instances in pure Python
-# solve_pruned's pop budget before _full_sweep, where totals are within the
-# DP filter (parity stops are common) or n < 12 (the ascent is cheaper)
-_SWEEP_POPS = 256
 
 ALGORITHMS = ("brute", "dp", "qenum", "pruned", "minfast", "corollary", "auto")
 
@@ -223,21 +220,13 @@ def solve_pruned(inst: Instance) -> Solution:
     then its swap covers in ascending bit order, and ``nodes_visited`` counts
     pops plus nonnegative minimal elements.
 
-    The ascent copies the cached 2**n-byte Q(n) table (16 MB at n = 24) into
-    a bytearray whose nonzero entries are the Q members not reached yet, so
-    one index answers both membership and the seen-set test.
-
-    Unless the parity stop fires, the ascent pops every negative element of
-    Q(n), which is exactly half of it (see ``_full_sweep``).  So the call
-    computes the optimum, from the DP bitset when that is small and by
-    meet-in-the-middle otherwise, in O(2**(n/2)) extra memory: if the parity
-    stop is still to come, the ascent runs; otherwise it returns the sweep's
-    outcome, ``nodes_visited`` included, without running the sweep.  Within
-    the DP filter, where small totals make parity stops common, that check
-    comes after ``min(4 << n // 2, 256)`` pops.  Beyond it, large weights
-    make them rare, so from n = 12 on the check comes first, before any pop
-    or table copy; below n = 12 the whole ascent is cheaper than the check.
-    The outcome does not depend on when the check runs.
+    Without the parity stop the ascent pops every negative element of Q(n),
+    exactly half of it, so ``_full_sweep`` runs first and, when the optimum
+    is above the parity, returns the ascent's outcome in closed form.
+    Otherwise the optimum is the parity, and the ascent runs until it records
+    a node of that delta.  It copies the cached 2**n-byte Q(n) table (16 MB
+    at n = 24) into a bytearray whose nonzero entries are the Q members not
+    reached yet, so one index answers both membership and the seen-set test.
     """
     n = inst.n
     if n < 3:
@@ -246,10 +235,8 @@ def solve_pruned(inst: Instance) -> Solution:
         raise TooLarge(f"pruned search is capped at n = {PRUNED_MAX_N}")
     c = inst.c
     n_minimal = (n - 1) // 2 + 1
-    # beyond the DP filter parity stops are rare, and from n = 12 on the
-    # check costs less than the pops it would wait for: run it first
-    check_first = 4 << n // 2 >= _SWEEP_POPS and n * (inst.total + 1) > SWEEP_DP_MAX_CELLS
-    if check_first and (swept := _full_sweep(inst)) is not None:
+    swept = _full_sweep(inst)
+    if swept is not None:
         # v* is above the parity, so no minimal element stops the ascent
         nonneg_minimal = sum(2 * sum(c[k:2 * k + 1]) >= inst.total for k in range(n_minimal))
         return _make_solution(inst, *swept, "pruned", q_size(n) // 2 + nonneg_minimal)
@@ -266,8 +253,6 @@ def solve_pruned(inst: Instance) -> Solution:
     from .poset import q_membership_table
 
     fresh = bytearray(q_membership_table(n))  # in Q(n) and not reached yet
-    best_d = inst.total + 1  # above every delta
-    best_mask = -1
     visited = 0
     heap: list[int] = []
     push, pop = heapq.heappush, heapq.heappop
@@ -279,18 +264,12 @@ def solve_pruned(inst: Instance) -> Solution:
             push(heap, (-d << n) | mask)
             continue
         visited += 1
-        if d < best_d or (d == best_d and mask < best_mask):
-            best_d, best_mask = d, mask
-            if d == parity:
-                heap.clear()
-                break
+        if d == parity:
+            return _make_solution(inst, mask, d, "pruned", visited)
     # Each popped node offers its addition cover, then its swap covers in
-    # ascending bit order; a cover key above `full` has negative delta.
-    nonneg_minimal = visited
-    check_at = -1 if check_first else nonneg_minimal + min(4 << n // 2, _SWEEP_POPS)
+    # ascending bit order; a cover key above `full` has negative delta, and
+    # the first recorded key of delta `parity` is the answer.
     while heap:
-        if visited == check_at and (swept := _full_sweep(inst)) is not None:
-            return _make_solution(inst, *swept, "pruned", q_size(n) // 2 + nonneg_minimal)
         key = pop(heap)
         visited += 1
         mask = key & full
@@ -301,11 +280,8 @@ def solve_pruned(inst: Instance) -> Solution:
                 wkey = key + add_step
                 if wkey > full:
                     push(heap, wkey)
-                elif (d := -(wkey >> n)) < best_d or (d == best_d and w < best_mask):
-                    best_d, best_mask = d, w
-                    if d == parity:
-                        heap.clear()
-                        continue
+                elif -(wkey >> n) == parity:
+                    return _make_solution(inst, w, parity, "pruned", visited)
         pat = ~mask & (mask >> 1) & swap_zone
         while pat:
             b = pat & -pat
@@ -316,14 +292,9 @@ def solve_pruned(inst: Instance) -> Solution:
                 wkey = key + swap_step[b]
                 if wkey > full:
                     push(heap, wkey)
-                elif (d := -(wkey >> n)) < best_d or (d == best_d and w < best_mask):
-                    best_d, best_mask = d, w
-                    if d == parity:
-                        heap.clear()
-                        break
-    if best_mask < 0:
-        raise AssertionError("Q(n) has no nonnegative-delta element; impossible")
-    return _make_solution(inst, best_mask, best_d, "pruned", visited)
+                elif -(wkey >> n) == parity:
+                    return _make_solution(inst, w, parity, "pruned", visited)
+    raise AssertionError("the ascent ended without its parity stop")
 
 
 def _negative_lower_covers(c: tuple[int, ...], best: int) -> list[tuple[int, int]]:
@@ -337,6 +308,14 @@ def _negative_lower_covers(c: tuple[int, ...], best: int) -> list[tuple[int, int
     return moves + [(3 << j, 1 << j) for j in range(n - 1) if 2 * (c[j] - c[j + 1]) > best]
 
 
+def _signed_sums(c: tuple[int, ...]) -> list[int]:
+    # _delta_table as a list, for halves too small to repay numpy's fixed cost
+    d = [-sum(c)]
+    for ci in c:
+        d += [x + 2 * ci for x in d]
+    return d
+
+
 def _first_recorded(c: tuple[int, ...], best: int, q: np.ndarray, minimal: list[int]) -> int:
     """``_full_sweep``'s walk in pure Python, for instances within the DP
     bound up to n = _SWEEP_PY_MAX_N: on tables this small, numpy's fixed
@@ -346,9 +325,9 @@ def _first_recorded(c: tuple[int, ...], best: int, q: np.ndarray, minimal: list[
     h = len(c) // 2
     moves = _negative_lower_covers(c, best)
     by_sum: dict[int, list[int]] = {}
-    for lo, d in enumerate(_delta_table(c[:h]).tolist()):
+    for lo, d in enumerate(_signed_sums(c[:h])):
         by_sum.setdefault(d, []).append(lo)
-    for t, hd in enumerate(_delta_table(c[h:]).tolist()):
+    for t, hd in enumerate(_signed_sums(c[h:])):
         for lo in by_sum.get(best - hd, ()):
             w = t << h | lo
             if q[w] and (w in minimal or any(w & f == b and q[w ^ f] for f, b in moves)):
@@ -360,29 +339,28 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     """The (mask, delta) that ``solve_pruned``'s ascent ends with, or None
     when its parity stop will fire.
 
-    Q(n) is convex in P(n) and delta never decreases along covers, so every
-    negative element of Q(n) is reached through negative ones: without the
-    parity stop the ascent pops all of them, and records exactly the
-    nonnegative elements of Q(n) that are minimal or have a negative lower
-    cover in Q(n).  The optimum v* comes from the reachable-sum bitset when
-    ``n * (total + 1)`` is at most SWEEP_DP_MAX_CELLS, and otherwise from the
-    sorted signed sums of the low n // 2 weights, searched for each sum of
-    the high ones (Horowitz & Sahni).  If v* equals the total's parity, the
-    ascent stops on it; otherwise no element has delta 0, negation halves
-    Q(n), and the answer is the smallest recorded mask with delta v*, found
-    by testing the masks with that delta in ascending order, a chunk at a
-    time (``_first_recorded`` does it one at a time for small instances).
+    Q(n) is convex in P(n) and delta never decreases along covers, so
+    without the parity stop the ascent pops every negative element of Q(n)
+    and records exactly the nonnegative ones that are minimal or have a
+    negative lower cover in Q(n).  The optimum v* comes from the reachable-sum
+    bitset when ``n * (total + 1)`` is at most SWEEP_DP_MAX_CELLS, otherwise
+    by Horowitz & Sahni on the signed sums of the two halves of the weights.
+    If v* is above the total's parity, no element has delta 0, negation
+    halves Q(n), and the answer is the smallest recorded mask with delta v*:
+    the masks with that delta are tested in ascending order, in chunks
+    (one at a time by ``_first_recorded`` for small instances).
     """
-    import numpy as np
-
-    from .poset import q_membership_table
-
     n, c, total = inst.n, inst.c, inst.total
     best = None
     if n * (total + 1) <= SWEEP_DP_MAX_CELLS:
         best = abs(2 * _closest_sum(_reachable_sums(c)[-1], total) - total)
         if best == total & 1:
             return None
+    # imported after the filter: its parity stops skip the import's cost
+    import numpy as np
+
+    from .poset import q_membership_table
+
     h = n // 2
     q = q_membership_table(n)
     minimal = [min_element_mask(n, k) for k in range((n - 1) // 2 + 1)]
@@ -480,8 +458,10 @@ def solve(inst: Instance, algo: str = "auto") -> Solution | None:
     search, falling back to the DP oracle for tiny or oversized n.
 
     Only "minfast" and "corollary" may return None (no certificate applies).
-    Above n = PRUNED_MAX_N, an "auto" call that no certificate answers and
-    whose DP table is over DP_MAX_CELLS raises a ``TooLarge`` naming both caps.
+    An "auto" call of one or two weights whose DP table is over DP_MAX_CELLS
+    scans their at most two sign patterns with "brute".  Above
+    n = PRUNED_MAX_N, one that no certificate answers and whose DP table is
+    over DP_MAX_CELLS raises a ``TooLarge`` naming both caps.
     """
     if algo == "brute":
         return solve_brute(inst)
@@ -505,11 +485,12 @@ def solve(inst: Instance, algo: str = "auto") -> Solution | None:
             return sol
         if inst.n <= PRUNED_MAX_N:
             return solve_pruned(inst)
-        try:
-            return solve_dp(inst)
-        except TooLarge:
-            raise TooLarge(
-                f"no certificate applies at n = {inst.n}; pruned search is capped at "
-                f"n = {PRUNED_MAX_N} and the DP table would exceed {DP_MAX_CELLS} cells"
-            ) from None
-    return solve_dp(inst)
+    try:
+        return solve_dp(inst)
+    except TooLarge:
+        if inst.n < 3:
+            return solve_brute(inst)
+        raise TooLarge(
+            f"no certificate applies at n = {inst.n}; pruned search is capped at "
+            f"n = {PRUNED_MAX_N} and the DP table would exceed {DP_MAX_CELLS} cells"
+        ) from None

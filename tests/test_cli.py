@@ -76,6 +76,18 @@ def test_solve_fast_path_without_certificate(tmp_path, capsys):
     assert payload["fired"] is False
 
 
+@pytest.mark.parametrize("raw, expected", [
+    ([100000000], (100000000, [1])),
+    ([4611686018427387904, 1], (4611686018427387903, [1])),
+])
+def test_solve_one_or_two_large_weights(tmp_path, capsys, raw, expected):
+    # beyond the DP cap, auto scans the at most two sign patterns instead
+    path = write(tmp_path, " ".join(map(str, raw)) + "\n")
+    assert main(["solve", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["delta"], payload["subset"]) == expected
+
+
 def test_solve_parse_error_exits_2(tmp_path, capsys):
     assert main(["solve", write(tmp_path, "x y\n")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -187,52 +187,55 @@ PRUNED_FAMILIES = {
 }
 
 
-def _spy_full_sweep(monkeypatch):
-    # records what each call of solve_pruned's closed-form check returned
-    outcomes = []
+def _spy_pruned(monkeypatch):
+    # logs what solve_pruned does: each heap pop, each copy of the Q table,
+    # and each closed-form check as (pops made before it, what it returned)
+    pops, copies, checks = [], [], []
+    heappop = heapq.heappop
+    monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(1) or heappop(heap))
+    monkeypatch.setattr(solver, "bytearray", lambda t: copies.append(1) or bytearray(t), raising=False)
     full_sweep = solver._full_sweep
 
     def spy(inst):
-        outcomes.append(full_sweep(inst))
-        return outcomes[-1]
+        checks.append((len(pops), full_sweep(inst)))
+        return checks[-1][1]
 
     monkeypatch.setattr(solver, "_full_sweep", spy)
-    return outcomes
+    return pops, copies, checks
+
+
+def _one_order(inst, sol, pops, copies, checks):
+    # one check per call, before any pop: a closed-form answer pops and copies
+    # nothing, and only a parity stop copies the Q table
+    assert len(checks) == 1 and checks[0][0] == 0
+    swept = checks[0][1]
+    if swept is None:
+        assert copies == [1] and sol.abs_delta == inst.total % 2
+        return "parity stop"
+    assert not pops and not copies
+    assert swept == (swept[0], sol.delta) and sol.delta > inst.total % 2
+    return "closed form"
 
 
 def test_pruned_matches_naive_ascent(monkeypatch):
     # same traversal as the reference: subset, delta and pop count all agree,
-    # for each way a call ends after min(4 << n // 2, 256) pops: the parity
-    # stop before the check, the parity stop after it (the check, DP filter
-    # included, returns None and the ascent resumes), or the full sweep
-    # answered in closed form
-    outcomes = _spy_full_sweep(monkeypatch)
+    # whether the check answers the full sweep in closed form or returns None
+    # (the DP filter included) and the ascent runs to its parity stop
+    logs = _spy_pruned(monkeypatch)
     rng = random.Random(97)
-    stops = sweeps = 0
-    seen = set()
+    seen = []
     for name, draw in PRUNED_FAMILIES.items():
         for n in range(3, 15):
             for _ in range(3):
                 raw = draw(rng, n)
-                outcomes.clear()
-                sol = solve_pruned(normalize_instance(raw))
-                ref = oracles.pruned_ascent(raw)
+                ref = oracles.pruned_ascent(raw)  # pops through heapq as well
+                for log in logs:
+                    log.clear()
+                inst = normalize_instance(raw)
+                sol = solve_pruned(inst)
                 assert (sol.subset.indices, sol.delta, sol.nodes_visited) == ref, (name, raw)
-                if sol.abs_delta == sum(raw) % 2:
-                    stops += 1
-                else:
-                    sweeps += 1
-                if not outcomes:
-                    if sol.abs_delta == sum(raw) % 2:
-                        seen.add("stop before the check")
-                elif outcomes == [None]:
-                    assert sol.abs_delta == sum(raw) % 2
-                    seen.add("stop after the check")
-                else:
-                    assert outcomes == [(outcomes[0][0], sol.delta)] and sol.delta > sum(raw) % 2
-                    seen.add("closed-form sweep")
-    assert stops > 20 and sweeps > 20
-    assert seen == {"stop before the check", "stop after the check", "closed-form sweep"}
+                seen.append(_one_order(inst, sol, *logs))
+    assert seen.count("parity stop") > 20 and seen.count("closed form") > 20
 
 
 @settings(max_examples=120, deadline=None)
@@ -251,20 +254,16 @@ def test_pruned_matches_naive_ascent_property(family, n, rng):
 @pytest.mark.parametrize("name", ["phase", "parity_gap"])
 @pytest.mark.parametrize("n", [16, 21, 24])
 def test_pruned_full_sweep_in_closed_form(n, name, monkeypatch):
-    # instances without the parity stop, answered in closed form: phase
-    # weights are beyond the DP filter, so the check runs before any pop;
-    # parity_gap is within it, so the check runs after 256 pops.  The naive
-    # ascent at n = 16 is the reference, above it brute and the count formula
-    outcomes = _spy_full_sweep(monkeypatch)
-    pops = []
-    heappop = heapq.heappop
-    monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(1) or heappop(heap))
+    # instances without the parity stop, answered in closed form before any
+    # pop or table copy, with weights beyond the DP filter (phase) or within
+    # it (parity_gap).  The naive ascent at n = 16 is the reference, above it
+    # brute and the count formula
+    logs = _spy_pruned(monkeypatch)
     raw = PRUNED_FAMILIES[name](random.Random(n), n)
     inst = normalize_instance(raw)
+    assert (n * (inst.total + 1) <= solver.SWEEP_DP_MAX_CELLS) == (name == "parity_gap")
     sol = solve_pruned(inst)
-    assert len(outcomes) == 1 and outcomes[0] is not None
-    assert len(pops) == {"phase": 0, "parity_gap": 256}[name]
-    assert sol.abs_delta > inst.total % 2
+    assert _one_order(inst, sol, *logs) == "closed form"
     if n == 16:
         assert (sol.subset.indices, sol.delta, sol.nodes_visited) == oracles.pruned_ascent(raw)
         return
@@ -282,22 +281,11 @@ def _duplicated_halves(rng, n):
 
 
 def test_pruned_kernel_path_matches_naive_ascent(monkeypatch):
-    # weights beyond the DP filter: from n = 12 on the check runs before the
-    # first pop and before the Q-table copy, below n = 12 after the pops, and
-    # each order gives the reference's subset, delta and pop count
-    pops = []
-    heappop = heapq.heappop
-    monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(1) or heappop(heap))
-    copies = []
-    monkeypatch.setattr(solver, "bytearray", lambda t: copies.append(1) or bytearray(t), raising=False)
-    checks = []
-    full_sweep = solver._full_sweep
-
-    def spy(inst):
-        checks.append((len(pops), full_sweep(inst)))
-        return checks[-1][1]
-
-    monkeypatch.setattr(solver, "_full_sweep", spy)
+    # weights beyond the DP filter, at every n: the check runs before the
+    # first pop and before the Q-table copy, and each outcome gives the
+    # reference's subset, delta and pop count.  Both outcomes occur below
+    # n = 12, where a whole ascent costs less than the numpy kernel, and above
+    logs = _spy_pruned(monkeypatch)
     families = {
         "bits62": PRUNED_FAMILIES["bits62"],
         "phase": PRUNED_FAMILIES["phase"],
@@ -314,23 +302,12 @@ def test_pruned_kernel_path_matches_naive_ascent(monkeypatch):
                 inst = normalize_instance(raw)
                 assert n * (inst.total + 1) > solver.SWEEP_DP_MAX_CELLS
                 ref = oracles.pruned_ascent(raw)  # pops through heapq as well
-                for log in (pops, copies, checks):
+                for log in logs:
                     log.clear()
                 sol = solve_pruned(inst)
                 assert (sol.subset.indices, sol.delta, sol.nodes_visited) == ref, raw
-                assert len(checks) <= 1
-                if n >= 12:
-                    assert checks and checks[0][0] == 0
-                    if checks[0][1] is not None:
-                        assert not pops and not copies
-                        seen.add("closed form before the first pop")
-                    else:
-                        assert copies == [1] and sol.abs_delta == inst.total % 2
-                        seen.add("None, then a parity stop")
-                elif checks and checks[0][0] > 0:
-                    assert copies == [1]
-                    seen.add("check after the pops")
-    assert seen == {"closed form before the first pop", "None, then a parity stop", "check after the pops"}
+                seen.add((n < 12, _one_order(inst, sol, *logs)))
+    assert seen == {(small, how) for small in (True, False) for how in ("closed form", "parity stop")}
 
 
 def test_pruned_closed_form_at_every_n():
@@ -388,7 +365,7 @@ def test_full_sweep_matches_bisect_oracle(dp_filter, monkeypatch):
 def test_pruned_int64_headroom(n, monkeypatch):
     # totals just below 2**63 without a certificate: the closed-form sweep's
     # int64 signed sums and targets v* - hd must not overflow
-    outcomes = _spy_full_sweep(monkeypatch)
+    checks = _spy_pruned(monkeypatch)[2]
     rng = random.Random(1000 + n)
     mean = 2**63 // n
     while True:
@@ -401,7 +378,7 @@ def test_pruned_int64_headroom(n, monkeypatch):
             break
     assert 2**63 - 2**33 < inst.total < 2**63
     sol = solve(inst, "pruned")
-    assert len(outcomes) == 1 and outcomes[0] is not None
+    assert len(checks) == 1 and checks[0][1] is not None
     assert sol.abs_delta == solve_brute(inst).abs_delta > inst.total % 2
     assert recompute(raw, sol.subset) == sol.delta
 
