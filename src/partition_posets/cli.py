@@ -235,10 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except PartitionPosetsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PartitionPosetsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug: never exit 1, which means a check failed

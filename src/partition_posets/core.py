@@ -6,10 +6,10 @@ that vector with the instance weights.  The order compares running sums
 componentwise, so comparability of two vectors decides the inequality of their
 differences for every weight vector at once.
 
-The poset kinds, the classification of one vector among them and the masks
-of Q(n)'s extremal elements live here too: they are pure Python, so the
-certificate solvers and the counting layer need none of the numpy tables
-in ``poset``.
+The poset kinds, the classification of one vector among them, the two cover
+operator families as bitmask moves and the masks of Q(n)'s extremal elements
+live here too: they are pure Python, so the certificate solvers and the
+counting layer need none of the numpy tables in ``poset``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, LengthMismatch, NegativeValue, Overflow, TooLarge
@@ -229,19 +230,26 @@ def iso_f(v: SignVector) -> SubsetRef:
 
 def membership(v: SignVector) -> PosetKind:
     """Classify v: above zero (R+), below zero (R-), or in the middle poset Q."""
-    above = below = True
-    s = 0
-    for i in range(v.n):
-        s += 1 if v.mask >> i & 1 else -1
-        if s < 0:
-            above = False
-        elif s > 0:
-            below = False
-    if above:
+    ps = prefix_sums(v)
+    if min(ps) >= 0:
         return PosetKind.R_PLUS
-    if below:
+    if max(ps) <= 0:
         return PosetKind.R_MINUS
     return PosetKind.Q
+
+
+@lru_cache(maxsize=None)
+def cover_moves(n: int) -> tuple[tuple[int, int], ...]:
+    """The two cover operator families of P(n) as (flip, low) pairs: a mask
+    u with ``u & flip == low`` is covered by ``u ^ flip``.
+
+    The swap of an adjacent (-1, +1) pair at bits j, j + 1 (flip 3 << j, low
+    2 << j) maps u to u - 2**j; the addition at the last entry (flip
+    2**(n - 1), low 0) maps u to u + 2**(n - 1).  The swaps come first, for
+    j descending, then the addition, so one mask's covers come in ascending
+    order.
+    """
+    return tuple((3 << j, 2 << j) for j in range(n - 2, -1, -1)) + ((1 << n - 1, 0),)
 
 
 def max_element_mask(n: int, k: int) -> int:

@@ -4,7 +4,9 @@ Three related posets over {+1,-1}^n are handled: the full poset P(n), the
 middle poset Q(n) of vectors incomparable with zero, and the half-spaces
 R+(n) / R-(n) of vectors whose running sums never go negative / positive.
 Covers in P(n) are generated by exactly two operator families: flipping the
-last entry up, and swapping an adjacent (-1, +1) pair.
+last entry up, and swapping an adjacent (-1, +1) pair.  ``core.cover_moves``
+encodes them as bitmask moves once; the covers, the Hasse DAG and the pruned
+solver's closed-form sweep all read them from there.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .core import (  # PosetKind, membership and the extremal masks are re-expor
     PosetKind,
     SignVector,
     SubsetRef,
+    cover_moves,
     leq,
     max_element_mask,
     membership,
@@ -51,42 +54,40 @@ _PROFILE_ENUM_MAX_N = 14  # the profiles check also enumerates R+ and Q up to he
 # membership and rank
 
 
-def _half_extrema(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Final sum, min and max running sum over all 2**n masks (int8 arrays);
-    the extrema of the empty prefix are sentinels that any step overwrites."""
+def _half_minima(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Final sum and min running sum over all 2**n masks (int8 arrays); the
+    minimum of the empty prefix is a sentinel that any step overwrites."""
     s = np.zeros(1, dtype=np.int8)
     mn = np.full(1, 127, dtype=np.int8)
-    mx = np.full(1, -127, dtype=np.int8)
     for _ in range(n):
         lo, hi = s - 1, s + 1
         mn = np.concatenate([np.minimum(mn, lo), np.minimum(mn, hi)])
-        mx = np.concatenate([np.maximum(mx, lo), np.maximum(mx, hi)])
         s = np.concatenate([lo, hi])
-    return s, mn, mx
+    return s, mn
 
 
-def _prefix_extrema(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mask min and max running sum over all 2**n masks (int8 arrays).
+def _prefix_minima(n: int) -> np.ndarray:
+    """Per-mask min running sum over all 2**n masks (an int8 array).
 
     Mask ``hi << h | lo`` runs through the low half's sums, then the high
-    half's shifted by the low half's final sum, so both extrema are an outer
-    combination of two 2**(n/2) tables.
+    half's shifted by the low half's final sum, so the minimum is an outer
+    combination of two 2**(n/2) tables.  The max running sum needs no table
+    of its own: negation maps mask m to 2**n - 1 - m and every running sum
+    to its negative, so the max of m is minus the reversed table's entry m.
     """
     if n > _TABLE_MAX_N:
         raise TooLarge(f"membership tables stop at n = {_TABLE_MAX_N}")
     h = n // 2
-    s_lo, mn_lo, mx_lo = _half_extrema(h)
-    _, mn_hi, mx_hi = _half_extrema(n - h)
-    mn = np.minimum(mn_lo[None, :], s_lo[None, :] + mn_hi[:, None]).ravel()
-    mx = np.maximum(mx_lo[None, :], s_lo[None, :] + mx_hi[:, None]).ravel()
-    return mn, mx
+    s_lo, mn_lo = _half_minima(h)
+    _, mn_hi = _half_minima(n - h)
+    return np.minimum(mn_lo[None, :], s_lo[None, :] + mn_hi[:, None]).ravel()
 
 
 @lru_cache(maxsize=None)
 def q_membership_table(n: int) -> np.ndarray:
     """Boolean array over all masks: True exactly for members of Q(n)."""
-    mn, mx = _prefix_extrema(n)
-    table = (mn < 0) & (mx > 0)
+    mn = _prefix_minima(n)
+    table = np.maximum(mn, mn[::-1]) < 0  # mn < 0 and the max, -mn[::-1], > 0
     table.setflags(write=False)
     return table
 
@@ -126,27 +127,13 @@ def apply_swap(v: SignVector, j: int, k: int) -> SignVector:
     return SignVector(v.n, v.mask ^ (1 << (j - 1) | 1 << (k - 1)))
 
 
-def _cover_masks(mask: int, n: int) -> list[int]:
-    # covers in P: flip the last entry up, or swap any adjacent (-1, +1) pair
-    out = []
-    if not mask >> (n - 1) & 1:
-        out.append(mask | 1 << (n - 1))
-    pat = ~mask & (mask >> 1) & ((1 << (n - 1)) - 1)
-    while pat:
-        b = pat & -pat
-        out.append(mask ^ (b | b << 1))
-        pat &= pat - 1
-    out.sort()
-    return out
-
-
 def upper_covers(v: SignVector, kind: PosetKind = PosetKind.P) -> list[SignVector]:
     """Elements covering v, in ascending bitmask order (Q-filtered for kind Q)."""
     if kind not in (PosetKind.P, PosetKind.Q):
         raise ValueError("covers are defined for kinds P and Q")
     if kind is PosetKind.Q and membership(v) is not PosetKind.Q:
         raise NotInPoset(f"{v!r} is not in Q({v.n})")
-    covers = [SignVector(v.n, m) for m in _cover_masks(v.mask, v.n)]
+    covers = [SignVector(v.n, v.mask ^ f) for f, low in cover_moves(v.n) if v.mask & f == low]
     if kind is PosetKind.Q:
         covers = [w for w in covers if membership(w) is PosetKind.Q]
     return covers
@@ -236,8 +223,8 @@ def iter_poset(n: int, kind: PosetKind, *, force: bool = False) -> Iterator[Sign
     if kind is PosetKind.Q:
         sel = q_membership_table(n)
     else:
-        mn, mx = _prefix_extrema(n)
-        sel = mn >= 0 if kind is PosetKind.R_PLUS else mx <= 0
+        mn = _prefix_minima(n)
+        sel = mn >= 0 if kind is PosetKind.R_PLUS else mn[::-1] >= 0
     for mask in np.flatnonzero(sel):
         yield SignVector(n, int(mask))
 
@@ -279,14 +266,12 @@ class HasseDag:
 def build_hasse(n: int, kind: PosetKind, *, force: bool = False) -> HasseDag:
     """Operator-generated covers over the member masks, one operator at a time.
 
-    Column c of a (nodes x n) table marks where cover operator c applies:
-    first the swaps of an adjacent (-1, +1) pair at bits j, j + 1 for j
-    descending, which map mask m to m - 2**j, then the addition at the last
-    entry, which maps m to m + 2**(n - 1).  Each node's covers thus come in
-    ascending mask order, and the table's row-major order is ascending
-    (lower mask, upper mask) order.  For kind Q an operator counts only
-    where its target is a member; that is exact because Q is graded by the
-    same rank function as P.
+    Column c of a (nodes x n) table marks where move c of
+    ``core.cover_moves`` applies.  The moves give each node's covers in
+    ascending mask order, so the table's row-major order is ascending
+    (lower mask, upper mask) order.  For kind Q a move counts only where its
+    target is a member; that is exact because Q is graded by the same rank
+    function as P.
     """
     if kind not in (PosetKind.P, PosetKind.Q):
         raise ValueError("Hasse DAGs are built for kinds P and Q")
@@ -304,13 +289,12 @@ def build_hasse(n: int, kind: PosetKind, *, force: bool = False) -> HasseDag:
     member = q_membership_table(n) if kind is PosetKind.Q else np.ones(1 << n, dtype=bool)
     masks = np.flatnonzero(member)
     index = np.cumsum(member) - 1  # node index of each member mask
-    # (shift, field, value): the operator applies where mask >> shift & field == value
-    ops = [(j, 3, 2) for j in range(n - 2, -1, -1)] + [(n - 1, 1, 0)]
+    moves = cover_moves(n)
     keep = np.empty((len(masks), n), dtype=bool)
-    for c, (shift, field, value) in enumerate(ops):
-        keep[:, c] = (((masks >> shift) & field) == value) & member[masks ^ field << shift]
+    for c, (flip, low) in enumerate(moves):
+        keep[:, c] = ((masks & flip) == low) & member[masks ^ flip]
     rows, cols = np.nonzero(keep)
-    flips = np.array([field << shift for shift, field, _ in ops], dtype=np.int64)
+    flips = np.array([flip for flip, _ in moves], dtype=np.int64)
     upper = index[masks[rows] ^ flips[cols]]
     ranks = _mask_ranks(masks, n) - (n if kind is PosetKind.Q else 0)
     for a in (masks, ranks, rows, upper):
@@ -518,21 +502,31 @@ def _order_matrix(n: int) -> np.ndarray:
     return le
 
 
-def _reduction_matrix(strict: np.ndarray) -> np.ndarray:
-    # covers = strict pairs with nothing strictly between (boolean matmul)
+def _members(n: int, kind: PosetKind) -> np.ndarray:
+    return np.arange(1 << n) if kind is PosetKind.P else np.flatnonzero(q_membership_table(n))
+
+
+@lru_cache(maxsize=None)
+def _cover_matrix(n: int, kind: PosetKind) -> np.ndarray:
+    """Transitive reduction of the order on the members of P(n) or Q(n), in
+    ascending mask order, shared read-only by the checks: the strict pairs
+    with nothing strictly between (a boolean matmul)."""
+    idx = _members(n, kind)
+    strict = _order_matrix(n)[np.ix_(idx, idx)] & ~np.eye(len(idx), dtype=bool)
     through = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0.5
-    return strict & ~through
+    covers = strict & ~through
+    covers.setflags(write=False)
+    return covers
 
 
 def _check_covers(n: int) -> CheckResult:
-    strict = _order_matrix(n) & ~np.eye(1 << n, dtype=bool)
-    q_idx = np.flatnonzero(q_membership_table(n))
-    for kind, idx in ((PosetKind.P, np.arange(1 << n)), (PosetKind.Q, q_idx)):
-        expected = _reduction_matrix(strict[np.ix_(idx, idx)])
+    for kind in (PosetKind.P, PosetKind.Q):
+        expected = _cover_matrix(n, kind)
         dag = build_hasse(n, kind)
         got = np.zeros_like(expected)
         got[dag.lower, dag.upper] = True
-        if not (np.array_equal(dag.masks, idx) and np.array_equal(got, expected)):
+        same_nodes = np.array_equal(dag.masks, _members(n, kind))
+        if not (same_nodes and np.array_equal(got, expected)):
             return CheckResult(
                 "covers", False,
                 detail=f"operator covers != transitive reduction for {kind.value}({n})",
@@ -611,16 +605,14 @@ def _check_dominance(n: int) -> CheckResult:
 
 
 def _check_graded(n: int) -> CheckResult:
-    idx = np.flatnonzero(q_membership_table(n))
-    strict = _order_matrix(n)[np.ix_(idx, idx)] & ~np.eye(len(idx), dtype=bool)
-    covers = _reduction_matrix(strict)
-    ranks = _mask_ranks(idx, n)
-    for i, j in zip(*np.nonzero(covers)):
-        if ranks[j] - ranks[i] != 1:
-            return CheckResult(
-                "graded", False,
-                detail=f"a cover in Q({n}) jumps rank by {int(ranks[j] - ranks[i])}",
-            )
+    ranks = _mask_ranks(_members(n, PosetKind.Q), n)
+    lower, upper = np.nonzero(_cover_matrix(n, PosetKind.Q))
+    jumps = ranks[upper] - ranks[lower]
+    bad = np.flatnonzero(jumps != 1)
+    if len(bad):
+        return CheckResult(
+            "graded", False, detail=f"a cover in Q({n}) jumps rank by {int(jumps[bad[0]])}"
+        )
     return CheckResult("graded", True)
 
 
@@ -642,8 +634,8 @@ def _check_profiles(n: int) -> CheckResult:
         return CheckResult("profiles", False, detail="Q size mismatch")
     if n <= _PROFILE_ENUM_MAX_N:
         ranks = _mask_ranks(np.arange(1 << n), n)
-        mn, _ = _prefix_extrema(n)
-        if tuple(np.bincount(ranks[mn >= 0], minlength=r + 1).tolist()) != rp.counts:
+        rphist = np.bincount(ranks[_prefix_minima(n) >= 0], minlength=r + 1)
+        if tuple(rphist.tolist()) != rp.counts:
             return CheckResult("profiles", False,
                                detail="R+ profile disagrees with enumeration")
         qhist = np.bincount(ranks[q_membership_table(n)] - n, minlength=len(q.counts))
@@ -690,7 +682,8 @@ CHECKS = tuple(_CHECK_TABLE)
 
 
 def verify_structure(n: int, checks: Iterable[str] | str = "all") -> list[CheckResult]:
-    """Run the named checks at size n, in the order given.
+    """Run the named checks at size n, in the order given; ``checks`` is
+    "all", one check name, or an iterable of names.
 
     Besides the structural checks, ``profiles`` cross-checks the counting
     DPs and ``solvers`` the exact solvers against brute force.  With
@@ -702,7 +695,7 @@ def verify_structure(n: int, checks: Iterable[str] | str = "all") -> list[CheckR
         names = list(CHECKS)
         explicit = False
     else:
-        names = list(checks)
+        names = [checks] if isinstance(checks, str) else list(checks)
         explicit = True
         for name in names:
             if name not in _CHECK_TABLE:

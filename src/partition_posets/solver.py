@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 from .core import (
     Instance,
     SubsetRef,
+    cover_moves,
     max_element_mask,
     membership,  # not called here: bench/tracing.py wraps solver.membership
     min_element_mask,
@@ -298,14 +299,14 @@ def solve_pruned(inst: Instance) -> Solution:
 
 
 def _negative_lower_covers(c: tuple[int, ...], best: int) -> list[tuple[int, int]]:
-    """The moves whose delta gain exceeds ``best``, as (flip, bit) pairs: a
-    mask w with w & flip == bit has the lower cover w ^ flip, whose delta is
-    negative when w's is ``best``.  The addition (gain 2 c[n-1]) clears the
-    top bit, and the swap at bits (j, j + 1) (gain 2 (c[j] - c[j+1])) turns
-    1, 0 into 0, 1."""
-    n = len(c)
-    moves = [(1 << n - 1, 1 << n - 1)] if 2 * c[n - 1] > best else []
-    return moves + [(3 << j, 1 << j) for j in range(n - 1) if 2 * (c[j] - c[j + 1]) > best]
+    """The cover moves whose delta gain exceeds ``best``, as (flip, bit)
+    pairs: a mask w with w & flip == bit has the lower cover w ^ flip, whose
+    delta is negative when w's is ``best``.  A move of ``cover_moves`` sets
+    bit flip ^ low and clears bit low (none for the addition), so its gain
+    is twice the difference of those two bits' weights."""
+    weight = (0, *c)  # weight[b.bit_length()] is one-bit mask b's weight, 0 for b = 0
+    return [(flip, flip ^ low) for flip, low in cover_moves(len(c))
+            if 2 * (weight[(flip ^ low).bit_length()] - weight[low.bit_length()]) > best]
 
 
 def _signed_sums(c: tuple[int, ...]) -> list[int]:
@@ -485,12 +486,11 @@ def solve(inst: Instance, algo: str = "auto") -> Solution | None:
             return sol
         if inst.n <= PRUNED_MAX_N:
             return solve_pruned(inst)
-    try:
+    if inst.n * (inst.total + 1) <= DP_MAX_CELLS:
         return solve_dp(inst)
-    except TooLarge:
-        if inst.n < 3:
-            return solve_brute(inst)
-        raise TooLarge(
-            f"no certificate applies at n = {inst.n}; pruned search is capped at "
-            f"n = {PRUNED_MAX_N} and the DP table would exceed {DP_MAX_CELLS} cells"
-        ) from None
+    if inst.n < 3:
+        return solve_brute(inst)
+    raise TooLarge(
+        f"no certificate applies at n = {inst.n}; pruned search is capped at "
+        f"n = {PRUNED_MAX_N} and the DP table would exceed {DP_MAX_CELLS} cells"
+    )

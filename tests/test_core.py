@@ -25,6 +25,8 @@ from partition_posets import (
     to_subset,
 )
 
+from partition_posets.core import cover_moves
+
 import oracles
 
 
@@ -118,6 +120,18 @@ def test_prefix_sums():
     assert prefix_sums(sv(1, -1, 1, -1, -1)) == (1, 0, 1, 0, -1)
     assert prefix_sums(sv(1, 1, 1)) == (1, 2, 3)
     assert prefix_sums(sv(-1, 1, 1)) == (-1, 0, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cover_moves_give_each_masks_covers_in_ascending_order(n):
+    masks = list(range(1 << n))
+    covers = oracles.transitive_reduction(
+        masks,
+        lambda a, b: oracles.leq_entries(oracles.entries_of(a, n), oracles.entries_of(b, n)),
+    )
+    for u in masks:
+        got = [u ^ flip for flip, low in cover_moves(n) if u & flip == low]
+        assert got == sorted(j for i, j in covers if i == u)
 
 
 def test_leq_incomparable_pair():

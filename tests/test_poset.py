@@ -672,6 +672,19 @@ def test_verify_structure_skips_chains_at_n3():
     assert results["chains"].skipped
 
 
+def test_verify_structure_takes_one_check_name_as_a_string():
+    results = verify_structure(6, "covers")
+    assert [(r.name, r.passed, r.skipped) for r in results] == [("covers", True, False)]
+
+
+def test_graded_reports_the_first_rank_jump(monkeypatch):
+    # doubled ranks make every cover of Q(5) jump by 2
+    real = poset._mask_ranks
+    monkeypatch.setattr(poset, "_mask_ranks", lambda masks, n: 2 * real(masks, n))
+    (res,) = verify_structure(5, ["graded"])
+    assert not res.passed and res.detail == "a cover in Q(5) jumps rank by 2"
+
+
 def test_verify_structure_guards():
     with pytest.raises(UnknownCheck):
         verify_structure(5, ["bogus"])

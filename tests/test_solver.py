@@ -538,9 +538,11 @@ def test_auto_falls_back_to_dp_for_tiny_n():
 
 
 def test_auto_reaches_pruned():
-    sol = solve(inst_of(10, 6, 5, 2), "auto")
-    assert sol.algorithm in ("corollary", "pruned")
-    assert sol.abs_delta == solve_brute(inst_of(10, 6, 5, 2)).abs_delta
+    # neither certificate fires on this instance, so auto runs the ascent
+    inst = inst_of(7, 6, 5, 4, 3, 2, 2)
+    sol = solve(inst, "auto")
+    assert sol.algorithm == "pruned"
+    assert sol.abs_delta == solve_brute(inst).abs_delta == 1
 
 
 def test_auto_too_large_names_both_caps():
