@@ -63,6 +63,7 @@ from .solver import (
     solve_corollary,
     solve_dp,
     solve_min_fastpath,
+    solve_mitm,
     solve_pruned,
     solve_q_enum,
 )
@@ -161,6 +162,7 @@ __all__ = [
     "solve_corollary",
     "solve_dp",
     "solve_min_fastpath",
+    "solve_mitm",
     "solve_pruned",
     "solve_q_enum",
     "to_subset",

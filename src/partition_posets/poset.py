@@ -654,7 +654,7 @@ def _check_solvers(n: int) -> CheckResult:
         raw = [rng.randint(0, 1000) for _ in range(n)]
         inst = core.normalize_instance(raw)
         ref = solver.solve_brute(inst).abs_delta
-        results = {"dp": solver.solve_dp(inst).abs_delta}
+        results = {"dp": solver.solve_dp(inst).abs_delta, "mitm": solver.solve_mitm(inst).abs_delta}
         if n >= 3:
             results["qenum"] = solver.solve_q_enum(inst).abs_delta
             results["pruned"] = solver.solve_pruned(inst).abs_delta

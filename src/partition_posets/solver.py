@@ -2,9 +2,11 @@
 
 Two independent oracles (exhaustive scan and subset-sum DP), an enumeration
 restricted to the middle poset Q(n) (which contains a representative of every
-optimal partition), a dominance-pruned ascent over Q's cover DAG, and two
-closed-form fast paths built on its extremal elements.  All of them report
-the same optimal |delta|; subsets are reported in the original input order.
+optimal partition), a dominance-pruned ascent over Q's cover DAG, two
+closed-form fast paths built on its extremal elements, and a meet in the
+middle on the signed sums of the two halves of the weights.  All of them
+report the same optimal |delta|; subsets are reported in the original input
+order.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ BRUTE_MAX_N = 24
 PRUNED_MAX_N = 24
 DP_MAX_CELLS = 10**8
 SWEEP_DP_MAX_CELLS = 1 << 22  # _full_sweep reads v* from the DP bitset up to here
-_BLOCK_BITS = 20  # the enumeration scans 2**20-delta (8 MB) blocks
-_SWEEP_CHUNK = 1 << 14  # most candidate masks _full_sweep tests at once
+_BLOCK_BITS = 20  # scans and candidate tests hold 2**20-cell (8 MB) arrays
 _SWEEP_PY_MAX_N = 16  # up to here _full_sweep walks DP-sized instances in pure Python
 
-ALGORITHMS = ("brute", "dp", "qenum", "pruned", "minfast", "corollary", "auto")
+ALGORITHMS = ("brute", "dp", "qenum", "pruned", "minfast", "corollary", "mitm", "auto")
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,9 @@ class Solution:
     ``subset`` uses original 1-based input positions.  ``nodes_visited``
     counts candidate evaluations: sign patterns scanned by the enumeration
     solvers, table cells for the DP oracle, extremal elements tested by the
-    fast paths.  For the pruned ascent it counts heap pops plus the
-    nonnegative minimal elements; a full sweep answered in closed form
-    counts as its |Q(n)|/2 pops.
+    fast paths, half sums built by the meet in the middle.  For the pruned
+    ascent it counts heap pops plus the nonnegative minimal elements; a full
+    sweep answered in closed form counts as its |Q(n)|/2 pops.
     """
 
     subset: SubsetRef
@@ -60,19 +61,40 @@ class Solution:
     nodes_visited: int
 
 
+def _signed_sums(c: tuple[int, ...]) -> list[int]:
+    # all 2^n signed sums as Python ints, weight i taken + in the masks with bit i
+    d = [-sum(c)]
+    for ci in c:
+        d += [x + 2 * ci for x in d]
+    return d
+
+
 def _delta_table(c: tuple[int, ...]) -> np.ndarray:
-    # all 2^n signed differences, weight i taken + in the masks with bit i;
-    # exact in int64 because totals fit in 63 bits and the upper half is
-    # filled by adding c[i] twice, each step a signed sum of the weights
+    # _signed_sums as int64: mask t << h | lo adds the signed sums of c[h:]
+    # and c[:h], each at most the total in size, so every cell is exact
     import numpy as np
 
-    d = np.empty(1 << len(c), dtype=np.int64)
-    d[0] = -sum(c)
-    for i, ci in enumerate(c):
-        upper = d[1 << i:2 << i]
-        np.add(d[:1 << i], ci, out=upper)
-        upper += ci
-    return d
+    h = len(c) // 2
+    highs = np.array(_signed_sums(c[h:]), dtype=np.int64)
+    return np.add.outer(highs, np.array(_signed_sums(c[:h]), dtype=np.int64)).ravel()
+
+
+def _meet(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Horowitz & Sahni's half-sum kernel: the low sums sorted, their
+    indices in ``lows`` in that order (ties in no set order), and for each
+    high sum hd the index of the first sorted low sum >= -hd.
+
+    The queries -hd are searched in ascending order, so each search starts
+    where the last one ended."""
+    import numpy as np
+
+    order = np.argsort(lows)
+    keys = lows[order]
+    queries = -highs
+    by_query = np.argsort(queries)
+    first = np.empty_like(by_query)
+    first[by_query] = np.searchsorted(keys, queries[by_query])
+    return keys, order, first
 
 
 def _subset_from_mask(inst: Instance, mask: int) -> SubsetRef:
@@ -180,6 +202,40 @@ def solve_dp(inst: Instance) -> Solution:
     return _make_solution(
         inst, mask, 2 * chosen - total, "dp", n * (total + 1)
     )
+
+
+def solve_mitm(inst: Instance) -> Solution:
+    """Meet in the middle (Horowitz & Sahni) over the 2^(n-1) sign patterns
+    whose first entry is +1, with ``brute``'s answer: the least |delta|,
+    ties to the smallest bitmask.
+
+    With h = n // 2 + 1, mask ``t << h | 2 lo + 1`` has delta ``lows[lo] +
+    highs[t]``: the signed sums of weights 2..h plus the first weight, and
+    those of the rest.  ``_meet`` puts the low sums on either side of each
+    -hd, which gives the optimum v*; the smallest mask reaching it lies in the
+    first row t that meets v* - hd or -v* - hd, at the smallest low mask of
+    either sum.  ``nodes_visited`` counts the half sums built.  Capped at
+    n = 44, where a call peaks near 200 MB.
+    """
+    n, c = inst.n, inst.c
+    if n > 44:
+        raise TooLarge("meet in the middle is capped at n = 44")
+    import numpy as np
+
+    h = n // 2 + 1
+    lows = _delta_table(c[1:h])
+    lows += c[0]
+    highs = _delta_table(c[h:])
+    keys, _, i = _meet(lows, highs)
+    # the first low sum >= -hd and the one before it (clipped to real sums)
+    above = keys.take(i, mode="clip") + highs
+    below = keys.take(i - 1, mode="clip") + highs
+    best = min(int(np.abs(above).min()), int(np.abs(below).min()))
+    # v* <= c[0], so |v* - hd| <= c[0] + sum(c[h:]) <= total: no overflow
+    t = int(np.argmax((above == best) | (below == -best)))
+    hd = int(highs[t])
+    lo = int(np.argmax((lows == best - hd) | (lows == -best - hd)))
+    return _make_solution(inst, t << h | 2 * lo + 1, lows[lo] + hd, "mitm", len(lows) + len(highs))
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +365,6 @@ def _negative_lower_covers(c: tuple[int, ...], best: int) -> list[tuple[int, int
             if 2 * (weight[(flip ^ low).bit_length()] - weight[low.bit_length()]) > best]
 
 
-def _signed_sums(c: tuple[int, ...]) -> list[int]:
-    # _delta_table as a list, for halves too small to repay numpy's fixed cost
-    d = [-sum(c)]
-    for ci in c:
-        d += [x + 2 * ci for x in d]
-    return d
-
-
 def _first_recorded(c: tuple[int, ...], best: int, q: np.ndarray, minimal: list[int]) -> int:
     """``_full_sweep``'s walk in pure Python, for instances within the DP
     bound up to n = _SWEEP_PY_MAX_N: on tables this small, numpy's fixed
@@ -345,11 +393,12 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     and records exactly the nonnegative ones that are minimal or have a
     negative lower cover in Q(n).  The optimum v* comes from the reachable-sum
     bitset when ``n * (total + 1)`` is at most SWEEP_DP_MAX_CELLS, otherwise
-    by Horowitz & Sahni on the signed sums of the two halves of the weights.
-    If v* is above the total's parity, no element has delta 0, negation
-    halves Q(n), and the answer is the smallest recorded mask with delta v*:
-    the masks with that delta are tested in ascending order, in chunks
-    (one at a time by ``_first_recorded`` for small instances).
+    from ``_meet`` on the signed sums of the low n // 2 weights and of the
+    rest.  If v* is above the total's parity, no element has delta 0,
+    negation halves Q(n), and the answer is the smallest recorded mask with
+    delta v*: ``_meet``'s rows give every mask with that delta at once, and
+    they are sorted and tested in ascending slices (one at a time by
+    ``_first_recorded`` for small instances).
     """
     n, c, total = inst.n, inst.c, inst.total
     best = None
@@ -367,10 +416,8 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     minimal = [min_element_mask(n, k) for k in range((n - 1) // 2 + 1)]
     if best is not None and n <= _SWEEP_PY_MAX_N:
         return _first_recorded(c, best, q, minimal), best
-    lows, highs = _delta_table(c[:h]), _delta_table(c[h:])
-    order = np.argsort(lows, kind="stable")  # ties by mask
-    keys = lows[order]
-    i = np.searchsorted(keys, -highs)  # the first low sum >= -hd
+    highs = _delta_table(c[h:])
+    keys, order, i = _meet(_delta_table(c[:h]), highs)
     nearest = keys.take(i, mode="clip") + highs
     if best is None:
         # negating every sign shows that v* is attained with delta +v*,
@@ -386,22 +433,26 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     rows = np.flatnonzero(nearest == best)
     first = i[rows]
     counts = np.searchsorted(keys, best - highs[rows], "right") - first
-    ends = np.cumsum(counts)
-    offset = ends - counts - first  # candidate p of row r is order[p - offset[r]]
-    flip, bit = np.array(_negative_lower_covers(c, best), dtype=np.int64).reshape(-1, 2).T
-    # ascending masks, in chunks that double up to _SWEEP_CHUNK: the answer
-    # is often among the first few of thousands of candidates
-    start, size = 0, min(256, _SWEEP_CHUNK)
-    while start < ends[-1]:
-        p = np.arange(start, min(start + size, int(ends[-1])))
-        r = np.searchsorted(ends, p, "right")
-        w = rows[r] << h | order[p - offset[r]]
-        w = w[q[w]]
-        wc = w[:, None]
-        hit = (wc == minimal).any(axis=1) | (((wc & flip) == bit) & q[wc ^ flip]).any(axis=1)
+    # row r's masks are those at sorted indices first[r] .. first[r] + counts[r]
+    p = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    w = np.sort(np.repeat(rows, counts) << h | order[p])
+    w = w[q[w]]
+    # one row per test: any(axis=0) then ORs whole rows, which numpy does
+    # faster than reducing many short rows
+    tests = np.array(_negative_lower_covers(c, best), dtype=np.int64).reshape(-1, 2)
+    flip, bit = tests.T[:, :, None]
+    minimal = np.array(minimal)[:, None]
+    # ascending masks, in slices that double from 256 while each test's
+    # (tests x masks) temporaries stay within 2**_BLOCK_BITS cells: the
+    # answer is often among the first few of thousands of candidates
+    limit = (1 << _BLOCK_BITS) // (len(minimal) + len(tests))
+    start, size = 0, min(256, limit)
+    while start < len(w):
+        ws = w[start:start + size]
+        hit = (ws == minimal).any(axis=0) | (((ws & flip) == bit) & q[ws ^ flip]).any(axis=0)
         if hit.any():
-            return int(w[hit.argmax()]), best
-        start, size = start + size, min(2 * size, _SWEEP_CHUNK)
+            return int(ws[hit.argmax()]), best
+        start, size = start + size, min(2 * size, limit)
     raise AssertionError("no recorded element of Q(n) has the optimal delta")
 
 
@@ -456,13 +507,13 @@ def solve_corollary(inst: Instance) -> Solution | None:
 
 def solve(inst: Instance, algo: str = "auto") -> Solution | None:
     """Run the named algorithm; "auto" tries the fast paths, then the pruned
-    search, falling back to the DP oracle for tiny or oversized n.
+    search for 3 <= n <= PRUNED_MAX_N, then the DP oracle when its table has
+    at most DP_MAX_CELLS cells, then the meet in the middle up to n = 44.
 
     Only "minfast" and "corollary" may return None (no certificate applies).
-    An "auto" call of one or two weights whose DP table is over DP_MAX_CELLS
-    scans their at most two sign patterns with "brute".  Above
-    n = PRUNED_MAX_N, one that no certificate answers and whose DP table is
-    over DP_MAX_CELLS raises a ``TooLarge`` naming both caps.
+    So "auto" is exact at every n up to 44; above it, an instance that no
+    certificate answers and whose DP table is over DP_MAX_CELLS raises a
+    ``TooLarge`` naming both caps.
     """
     if algo == "brute":
         return solve_brute(inst)
@@ -476,6 +527,8 @@ def solve(inst: Instance, algo: str = "auto") -> Solution | None:
         return solve_min_fastpath(inst)
     if algo == "corollary":
         return solve_corollary(inst)
+    if algo == "mitm":
+        return solve_mitm(inst)
     if algo != "auto":
         raise UnknownAlgorithm(f"unknown algorithm {algo!r}")
     if inst.n >= 3:
@@ -488,9 +541,10 @@ def solve(inst: Instance, algo: str = "auto") -> Solution | None:
             return solve_pruned(inst)
     if inst.n * (inst.total + 1) <= DP_MAX_CELLS:
         return solve_dp(inst)
-    if inst.n < 3:
-        return solve_brute(inst)
-    raise TooLarge(
-        f"no certificate applies at n = {inst.n}; pruned search is capped at "
-        f"n = {PRUNED_MAX_N} and the DP table would exceed {DP_MAX_CELLS} cells"
-    )
+    try:
+        return solve_mitm(inst)
+    except TooLarge as exc:
+        raise TooLarge(
+            f"no certificate applies at n = {inst.n}; {exc} and the DP table "
+            f"would exceed {DP_MAX_CELLS} cells"
+        ) from None

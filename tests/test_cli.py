@@ -61,7 +61,7 @@ def test_solve_json_round_trip(tmp_path, capsys):
     assert abs(payload["delta"]) == payload["abs_delta"]
 
 
-@pytest.mark.parametrize("algo", ["brute", "dp", "qenum", "pruned", "auto"])
+@pytest.mark.parametrize("algo", ["brute", "dp", "qenum", "pruned", "mitm", "auto"])
 def test_solve_algorithms_agree_via_cli(tmp_path, capsys, algo):
     path = write(tmp_path, "4 3 2 1\n")
     assert main(["solve", path, "--algo", algo, "--json"]) == 0

@@ -25,6 +25,7 @@ from partition_posets import (
     solve_corollary,
     solve_dp,
     solve_min_fastpath,
+    solve_mitm,
     solve_pruned,
     solve_q_enum,
 )
@@ -342,10 +343,10 @@ def test_full_sweep_matches_bisect_oracle(dp_filter, monkeypatch):
     # the check against the pure-Python bisect sweep it replaced, with v*
     # read from the DP bitset where it is small (walked in pure Python up to
     # n = 16, in numpy above), and with that filter off (numpy throughout, in
-    # chunks small enough that walks cross chunk boundaries)
+    # slices small enough that walks cross slice boundaries)
     if not dp_filter:
         monkeypatch.setattr(solver, "SWEEP_DP_MAX_CELLS", 0)
-        monkeypatch.setattr(solver, "_SWEEP_CHUNK", 64)
+        monkeypatch.setattr(solver, "_BLOCK_BITS", 10)
     rng = random.Random(331)
     walks = {"python": 0, "numpy": 0}
     for n in range(3, 23):
@@ -524,6 +525,88 @@ def test_certificates_match_operator_reference():
 
 
 # ---------------------------------------------------------------------------
+# meet in the middle
+
+
+def test_delta_table_is_exact_near_2_62():
+    # one weight near 2**62 beside weights below 2**61 in total, or n weights
+    # near 2**62 / n as in the 63-bit boundary family: every signed sum fits
+    # int64, and each cell must be the exact sum, as over Python ints
+    rng = random.Random(62)
+    cases = [(), (2**63 - 1,)]
+    for n in range(1, 21):
+        rest = [rng.randrange(2**61 // n) for _ in range(n - 1)]
+        cases.append([rng.randrange(2**62, 2**62 + 2**61), *rest])
+        cases.append([rng.randrange(2**62 // n, 2**63 // n) for _ in range(n)])
+    for c in cases:
+        c = tuple(sorted(c, reverse=True))
+        assert _delta_table(c).tolist() == oracles.signed_sums(c), c
+
+
+def test_mitm_examples_and_guard():
+    sol = solve_mitm(inst_of(4, 3, 2, 1))
+    assert (sol.subset.indices, sol.delta, sol.algorithm) == ((1, 4), 0, "mitm")
+    assert sol.nodes_visited == 4 + 2  # sums of weights 2..3 (first +), then of weight 4
+    single = solve_mitm(inst_of(7))
+    assert (single.subset.indices, single.delta, single.nodes_visited) == ((1,), 7, 2)
+    with pytest.raises(TooLarge):
+        solve_mitm(normalize_instance([1] * 45))
+
+
+def _near_2_63(rng, n):
+    # totals just below 2**63
+    return [rng.randrange(2**63 // (2 * n), 2**63 // n) for _ in range(n)]
+
+
+MITM_FAMILIES = {
+    **SWEEP_FAMILIES,
+    "bits63": _near_2_63,
+    "huge_first": lambda rng, n: [rng.randrange(2**62, 2**62 + 2**61)] + [
+        rng.randrange(2**61 // n) for _ in range(n - 1)],
+}
+
+
+def _same_as_brute(inst):
+    got, ref = solve_mitm(inst), solve_brute(inst)
+    return (got.subset, got.delta, got.abs_delta) == (ref.subset, ref.delta, ref.abs_delta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(MITM_FAMILIES)),
+    st.integers(1, 20),
+    st.randoms(use_true_random=False),
+)
+def test_mitm_matches_brute_property(family, n, rng):
+    # brute's subset, ties to the smallest mask included, on ties, zeros and
+    # 63-bit weights
+    inst = normalize_instance(MITM_FAMILIES[family](rng, n))
+    assert _same_as_brute(inst), (family, inst.c)
+
+
+@pytest.mark.parametrize("n", [21, 24])
+def test_mitm_matches_brute_across_blocks(n):
+    # brute scans 2**20-mask blocks above n = 20; the tied families put
+    # optima in every block
+    for name in ("ties_zeros", "zeros", "all_equal", "bits63"):
+        inst = normalize_instance(MITM_FAMILIES[name](random.Random(n), n))
+        assert _same_as_brute(inst), name
+
+
+@pytest.mark.parametrize("n", [25, 28, 31, 34])
+def test_mitm_matches_halves_oracle_beyond_brute(n):
+    rng = random.Random(300 + n)
+    for name in ("phase", "bits63", "ties_zeros"):
+        raw = MITM_FAMILIES[name](rng, n)
+        inst = normalize_instance(raw)
+        sol = solve_mitm(inst)
+        assert sol.abs_delta == oracles.min_abs_delta_halves(raw), name
+        assert recompute(raw, sol.subset) == sol.delta
+        assert inst.perm[0] in sol.subset.indices  # first entry +1, as in brute
+        assert sol.nodes_visited == 2 ** (n // 2) + 2 ** (n - n // 2 - 1)
+
+
+# ---------------------------------------------------------------------------
 # dispatcher
 
 
@@ -546,15 +629,28 @@ def test_auto_reaches_pruned():
 
 
 def test_auto_too_large_names_both_caps():
-    # n = 30 and 40-bit weights: no certificate, beyond pruned and the DP
-    rng = random.Random(30)
-    inst = normalize_instance([rng.randint(1, 2**40) for _ in range(30)])
+    # n = 45 and 40-bit weights: no certificate, beyond the meet in the middle
+    # and the DP
+    rng = random.Random(45)
+    inst = normalize_instance([rng.randint(1, 2**40) for _ in range(45)])
     assert solve_min_fastpath(inst) is None and solve_corollary(inst) is None
-    message = ("no certificate applies at n = 30; pruned search is capped at n = 24 "
+    message = ("no certificate applies at n = 45; meet in the middle is capped at n = 44 "
                "and the DP table would exceed 100000000 cells")
     with pytest.raises(TooLarge) as excinfo:
         solve(inst, "auto")
     assert str(excinfo.value) == message
+
+
+def test_auto_answers_beyond_pruned_with_mitm():
+    # n = 30 and 40-bit weights: no certificate, beyond pruned and the DP
+    rng = random.Random(30)
+    raw = [rng.randint(1, 2**40) for _ in range(30)]
+    inst = normalize_instance(raw)
+    assert solve_min_fastpath(inst) is None and solve_corollary(inst) is None
+    sol = solve(inst, "auto")
+    assert sol.algorithm == "mitm"
+    assert sol.abs_delta == oracles.min_abs_delta_halves(raw)
+    assert recompute(raw, sol.subset) == sol.delta
 
 
 def test_explicit_guard_propagates():
