@@ -10,6 +10,8 @@ access, so importing the package, solving with a certificate or the DP, and
 counting rank profiles do not import numpy.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     Instance,
     PosetKind,
@@ -103,70 +105,12 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(globals().keys() | _POSET_NAMES)
 
-__all__ = [
-    "ALGORITHMS",
-    "CheckResult",
-    "EmptyInput",
-    "Extremes",
-    "HasseDag",
-    "Instance",
-    "LengthMismatch",
-    "NegativeValue",
-    "NotInPoset",
-    "OperatorUndefined",
-    "Overflow",
-    "ParseError",
-    "PartitionPosetsError",
-    "PosetKind",
-    "ProfileChecks",
-    "RankProfile",
-    "SignVector",
-    "Solution",
-    "SubsetRef",
-    "TooLarge",
-    "TooSmall",
-    "UnknownAlgorithm",
-    "UnknownCheck",
-    "WidthUncertified",
-    "apply_addition",
-    "apply_swap",
-    "ballot_count",
-    "build_hasse",
-    "catalan",
-    "delta",
-    "diff_vector",
-    "extremes",
-    "from_subset",
-    "height_formula",
-    "iso_f",
-    "iter_poset",
-    "leq",
-    "lower_covers",
-    "m_dominance_leq",
-    "meet_join",
-    "membership",
-    "negate",
-    "normalize_instance",
-    "p_rank_profile",
-    "poset_height",
-    "poset_width",
-    "prefix_sums",
-    "profile_checks",
-    "q_rank_profile",
-    "q_size",
-    "rank",
-    "rminus_rank_profile",
-    "rplus_rank_profile",
-    "solve",
-    "solve_brute",
-    "solve_corollary",
-    "solve_dp",
-    "solve_min_fastpath",
-    "solve_mitm",
-    "solve_pruned",
-    "solve_q_enum",
-    "to_subset",
-    "upper_covers",
-    "verify_structure",
-    "width_value",
-]
+
+# each public name is spelled once, in its import above or in _POSET_NAMES;
+# the submodules bound by those imports are not part of the API
+__all__ = sorted(_POSET_NAMES.union(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+))
+del _ModuleType
+

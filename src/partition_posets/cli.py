@@ -47,8 +47,13 @@ def read_instance_file(path: str) -> list[int]:
     return values
 
 
-def _print_kv(pairs: list[tuple[str, object]]) -> None:
-    for key, value in pairs:
+def _emit(payload: dict, as_json: bool) -> None:
+    """One JSON line, or one ``key: value`` line per field (yes/no for
+    booleans, lists space-separated)."""
+    if as_json:
+        print(json.dumps(payload))
+        return
+    for key, value in payload.items():
         if isinstance(value, bool):
             value = "yes" if value else "no"
         elif isinstance(value, (list, tuple)):
@@ -62,10 +67,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     sol = solver.solve(inst, args.algo)
     if sol is None:
         payload = {"n": inst.n, "total": inst.total, "algo": args.algo, "fired": False}
-        if args.json:
-            print(json.dumps(payload))
-        else:
-            _print_kv(list(payload.items()))
+        _emit(payload, args.json)
+        if not args.json:
             print(f"note: {args.algo} produced no certificate; try --algo auto")
         return 0
     payload = {
@@ -78,10 +81,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "nodes_visited": sol.nodes_visited,
         "optimal": True,  # every solver is exact
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        _print_kv(list(payload.items()))
+    _emit(payload, args.json)
     return 0
 
 
@@ -114,10 +114,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "symmetric": checks.symmetric,
         "unimodal": checks.unimodal,
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        _print_kv(list(payload.items()))
+    _emit(payload, args.json)
     return 0
 
 

@@ -79,22 +79,19 @@ def _delta_table(c: tuple[int, ...]) -> np.ndarray:
     return np.add.outer(highs, np.array(_signed_sums(c[:h]), dtype=np.int64)).ravel()
 
 
-def _meet(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Horowitz & Sahni's half-sum kernel: the low sums sorted, their
-    indices in ``lows`` in that order (ties in no set order), and for each
-    high sum hd the index of the first sorted low sum >= -hd.
+def _meet(keys: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Horowitz & Sahni's half-sum kernel: for each high sum hd, the index
+    of the first of the sorted low sums ``keys`` that is >= -hd.
 
     The queries -hd are searched in ascending order, so each search starts
     where the last one ended."""
     import numpy as np
 
-    order = np.argsort(lows)
-    keys = lows[order]
     queries = -highs
     by_query = np.argsort(queries)
     first = np.empty_like(by_query)
     first[by_query] = np.searchsorted(keys, queries[by_query])
-    return keys, order, first
+    return first
 
 
 def _subset_from_mask(inst: Instance, mask: int) -> SubsetRef:
@@ -211,10 +208,10 @@ def solve_mitm(inst: Instance) -> Solution:
 
     With h = n // 2 + 1, mask ``t << h | 2 lo + 1`` has delta ``lows[lo] +
     highs[t]``: the signed sums of weights 2..h plus the first weight, and
-    those of the rest.  ``_meet`` puts the low sums on either side of each
-    -hd, which gives the optimum v*; the smallest mask reaching it lies in the
-    first row t that meets v* - hd or -v* - hd, at the smallest low mask of
-    either sum.  ``nodes_visited`` counts the half sums built.  Capped at
+    those of the rest.  ``_meet`` finds the sorted low sums on either side
+    of each -hd, which give the optimum v*; the smallest mask reaching it
+    lies in the first row t that meets v* - hd or -v* - hd, at the smallest
+    low mask of either sum.  ``nodes_visited`` counts the half sums built.  Capped at
     n = 44, where a call peaks near 200 MB.
     """
     n, c = inst.n, inst.c
@@ -226,7 +223,8 @@ def solve_mitm(inst: Instance) -> Solution:
     lows = _delta_table(c[1:h])
     lows += c[0]
     highs = _delta_table(c[h:])
-    keys, _, i = _meet(lows, highs)
+    keys = np.sort(lows)
+    i = _meet(keys, highs)
     # the first low sum >= -hd and the one before it (clipped to real sums)
     above = keys.take(i, mode="clip") + highs
     below = keys.take(i - 1, mode="clip") + highs
@@ -416,8 +414,10 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     minimal = [min_element_mask(n, k) for k in range((n - 1) // 2 + 1)]
     if best is not None and n <= _SWEEP_PY_MAX_N:
         return _first_recorded(c, best, q, minimal), best
-    highs = _delta_table(c[h:])
-    keys, order, i = _meet(_delta_table(c[:h]), highs)
+    lows, highs = _delta_table(c[:h]), _delta_table(c[h:])
+    order = np.argsort(lows)  # ties in no set order: the masks are sorted below
+    keys = lows[order]
+    i = _meet(keys, highs)
     nearest = keys.take(i, mode="clip") + highs
     if best is None:
         # negating every sign shows that v* is attained with delta +v*,

@@ -36,6 +36,7 @@ from partition_posets import (
     solve_corollary,
     solve_dp,
     solve_min_fastpath,
+    solve_mitm,
     solve_pruned,
     solve_q_enum,
     width_value,
@@ -146,6 +147,7 @@ def test_08_solver_oracle_equivalence():
         assert solve_dp(inst).abs_delta == reference, raw
         assert solve_q_enum(inst).abs_delta == reference, raw
         assert solve_pruned(inst).abs_delta == reference, raw
+        assert solve_mitm(inst).abs_delta == reference, raw
         fast = solve_min_fastpath(inst)
         if fast is not None:
             minfast_fired += 1
@@ -163,7 +165,7 @@ def test_08_solver_oracle_equivalence():
     corollary_fired += 1
     assert minfast_fired >= 1 and corollary_fired >= 1
     print(f"fast paths fired: minfast {minfast_fired}, corollary {corollary_fired}")
-    _report(8, "four exact solvers agree on 500 random instances, n in [3,16]")
+    _report(8, "five exact solvers agree on 500 random instances, n in [3,16]")
 
 
 def test_09_dominance_pruning_property():

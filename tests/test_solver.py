@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_posets import (
+    ALGORITHMS,
     PosetKind,
     SignVector,
     TooLarge,
@@ -651,6 +652,63 @@ def test_auto_answers_beyond_pruned_with_mitm():
     assert sol.algorithm == "mitm"
     assert sol.abs_delta == oracles.min_abs_delta_halves(raw)
     assert recompute(raw, sol.subset) == sol.delta
+
+
+def _bench_shapes(n):
+    # the benchmark's instance shapes at n weights, as strategies
+    def parity_gap(m):
+        m[0] = m[1] = 0
+        m[2] += 1 - sum(m) % 2
+        return [5 * x for x in m]
+
+    cap = (2**63 - 1) // n  # 63-bit boundary: the total lies in [2**62, 2**63)
+    rest = st.lists(st.integers(0, 1000), min_size=n - 1, max_size=n - 1)
+    shapes = [
+        st.lists(st.integers(0, 1000), min_size=n, max_size=n),
+        # one weight at least the sum of the others: near 2**62, or DP-sized
+        st.tuples(rest, st.integers(0, 1000)).map(
+            lambda r: [2**62 - r[1] if n <= 20 else sum(r[0]) + r[1], *r[0]]),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n).map(
+            lambda bits: [(1 << (n - i)) + b for i, b in enumerate(bits)]),
+        # ties and zeros with a planted perfect partition
+        st.lists(st.integers(0, 9), min_size=n // 2, max_size=n // 2).map(
+            lambda h: h + h + [0] * (n % 2)),
+        st.lists(st.integers(1, (1 << (n + 4)) - 1), min_size=n, max_size=n),
+        st.lists(st.integers(cap // 2, cap - 1), min_size=n, max_size=n),
+    ]
+    if n >= 3:
+        shapes.append(st.lists(st.integers(0, 20), min_size=n, max_size=n).map(parity_gap))
+    return st.one_of(shapes)
+
+
+def _admits(algo, inst):
+    # the guards of the explicit algorithms, n <= 18 (within brute's cap)
+    if algo == "dp":
+        return inst.n * (inst.total + 1) <= solver.DP_MAX_CELLS
+    return algo in ("brute", "mitm") or inst.n >= 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(sorted(MITM_FAMILIES)), st.integers(1, 34),
+              st.randoms(use_true_random=False)).map(lambda f: MITM_FAMILIES[f[0]](f[2], f[1])),
+    st.integers(1, 34).flatmap(_bench_shapes),
+))
+def test_auto_is_exact_property(raw):
+    # auto states a subset of its delta, with the optimal |delta|: brute's up
+    # to n = 18, where every explicit algorithm admitted by its guard agrees
+    # (the certificates when they fire), and the halves oracle's up to 34
+    inst = normalize_instance(raw)
+    sol = solve(inst)
+    assert recompute(raw, sol.subset) == sol.delta and sol.abs_delta == abs(sol.delta)
+    if inst.n > 18:
+        assert sol.abs_delta == oracles.min_abs_delta_halves(raw), raw
+        return
+    for algo in ALGORITHMS:
+        other = solve(inst, algo) if _admits(algo, inst) else None
+        if other is not None:
+            assert recompute(raw, other.subset) == other.delta, (algo, raw)
+            assert other.abs_delta == sol.abs_delta, (algo, raw)
 
 
 def test_explicit_guard_propagates():
