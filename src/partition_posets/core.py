@@ -144,16 +144,16 @@ def normalize_instance(raw: Sequence[int]) -> Instance:
         raise EmptyInput("an instance needs at least one weight")
     if len(values) > MAX_N:
         raise TooLarge(f"an instance holds at most {MAX_N} weights, got {len(values)}")
-    total = 0
-    for v in values:
-        if v < 0:
-            raise NegativeValue(f"weights must be nonnegative, got {v}")
-        if v >= VALUE_LIMIT:
-            raise Overflow(f"weight {v} does not fit in 63 bits")
-        total += v
+    if min(values) < 0 or max(values) >= VALUE_LIMIT:
+        for v in values:  # the first offending weight, in input order
+            if v < 0:
+                raise NegativeValue(f"weights must be nonnegative, got {v}")
+            if v >= VALUE_LIMIT:
+                raise Overflow(f"weight {v} does not fit in 63 bits")
+    total = sum(values)
     if total >= VALUE_LIMIT:
         raise Overflow("total weight does not fit in 63 bits")
-    order = sorted(range(len(values)), key=lambda k: (-values[k], k))
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)  # stable on ties
     return Instance(
         c=tuple(values[k] for k in order),
         perm=tuple(k + 1 for k in order),

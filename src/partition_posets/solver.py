@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -92,6 +93,14 @@ def _meet(keys: np.ndarray, highs: np.ndarray) -> np.ndarray:
     first = np.empty_like(by_query)
     first[by_query] = np.searchsorted(keys, queries[by_query])
     return first
+
+
+def _minimal_deltas(inst: Instance) -> list[int]:
+    """d_k = 2 sum(c[k:2k+1]) - total for k = 0..floor((n-1)/2): the delta
+    of minimal element k of Q(n), +1 exactly at entries k+1..2k+1, and minus
+    that of its negation, maximal element k.  O(n) from prefix sums."""
+    p = list(accumulate(inst.c, initial=0))
+    return [2 * (p[2 * k + 1] - p[k]) - inst.total for k in range((inst.n - 1) // 2 + 1)]
 
 
 def _subset_from_mask(inst: Instance, mask: int) -> SubsetRef:
@@ -289,11 +298,11 @@ def solve_pruned(inst: Instance) -> Solution:
     if n > PRUNED_MAX_N:
         raise TooLarge(f"pruned search is capped at n = {PRUNED_MAX_N}")
     c = inst.c
-    n_minimal = (n - 1) // 2 + 1
+    minimal_deltas = _minimal_deltas(inst)
     swept = _full_sweep(inst)
     if swept is not None:
         # v* is above the parity, so no minimal element stops the ascent
-        nonneg_minimal = sum(2 * sum(c[k:2 * k + 1]) >= inst.total for k in range(n_minimal))
+        nonneg_minimal = sum(d >= 0 for d in minimal_deltas)
         return _make_solution(inst, *swept, "pruned", q_size(n) // 2 + nonneg_minimal)
     parity = inst.total & 1
     full = (1 << n) - 1
@@ -311,10 +320,9 @@ def solve_pruned(inst: Instance) -> Solution:
     visited = 0
     heap: list[int] = []
     push, pop = heapq.heappush, heapq.heappop
-    for k in range(n_minimal):
-        mask = min_element_mask(n, k)  # +1 exactly at entries k+1..2k+1
+    for k, d in enumerate(minimal_deltas):
+        mask = min_element_mask(n, k)
         fresh[mask] = 0
-        d = 2 * sum(c[k:2 * k + 1]) - inst.total
         if d < 0:
             push(heap, (-d << n) | mask)
             continue
@@ -357,13 +365,25 @@ def _negative_lower_covers(c: tuple[int, ...], best: int) -> list[tuple[int, int
     pairs: a mask w with w & flip == bit has the lower cover w ^ flip, whose
     delta is negative when w's is ``best``.  A move of ``cover_moves`` sets
     bit flip ^ low and clears bit low (none for the addition), so its gain
-    is twice the difference of those two bits' weights."""
+    is twice the difference of those two bits' weights.
+
+    ``best`` is the optimum v*, the least |delta| over all of P(n), so a
+    lower cover of a mask with delta v* has delta v* (gain 0) or at most
+    -v* (gain at least 2 v*): on those masks ``gain > best`` is the same
+    test as ``gain > 0``."""
     weight = (0, *c)  # weight[b.bit_length()] is one-bit mask b's weight, 0 for b = 0
     return [(flip, flip ^ low) for flip, low in cover_moves(len(c))
             if 2 * (weight[(flip ^ low).bit_length()] - weight[low.bit_length()]) > best]
 
 
-def _first_recorded(c: tuple[int, ...], best: int, q: np.ndarray, minimal: list[int]) -> int:
+def _recorded(w: int, q: memoryview, minimal: list[int], moves: list[tuple[int, int]]) -> bool:
+    """Whether the full ascent records mask w of delta v*: w is in Q(n)
+    (``q``, the Q table as a memoryview) and is minimal or has a lower
+    cover in Q(n) through one of ``moves``, from ``_negative_lower_covers``."""
+    return q[w] and (w in minimal or any(w & f == b and q[w ^ f] for f, b in moves))
+
+
+def _first_recorded(c: tuple[int, ...], best: int, q: memoryview, minimal: list[int]) -> int:
     """``_full_sweep``'s walk in pure Python, for instances within the DP
     bound up to n = _SWEEP_PY_MAX_N: on tables this small, numpy's fixed
     cost per call, paid again after each stretch of pure Python, would
@@ -377,8 +397,33 @@ def _first_recorded(c: tuple[int, ...], best: int, q: np.ndarray, minimal: list[
     for t, hd in enumerate(_signed_sums(c[h:])):
         for lo in by_sum.get(best - hd, ()):
             w = t << h | lo
-            if q[w] and (w in minimal or any(w & f == b and q[w ^ f] for f, b in moves)):
+            if _recorded(w, q, minimal, moves):
                 return w
+    raise AssertionError("no recorded element of Q(n) has the optimal delta")
+
+
+def _vectorized_walk(w: np.ndarray, q: np.ndarray, minimal: list[int],
+                     moves: list[tuple[int, int]]) -> int:
+    """The first recorded mask of ``w``, the ascending members of Q(n) with
+    delta v*, tested in numpy: ``_recorded`` on whole slices."""
+    import numpy as np
+
+    # one row per test: any(axis=0) then ORs whole rows, which numpy does
+    # faster than reducing many short rows
+    tests = np.array(moves, dtype=np.int64).reshape(-1, 2)
+    flip, bit = tests.T[:, :, None]
+    minimal = np.array(minimal)[:, None]
+    # ascending masks, in slices that double from 256 while each test's
+    # (tests x masks) temporaries stay within 2**_BLOCK_BITS cells: the
+    # answer is often among the first few of thousands of candidates
+    limit = (1 << _BLOCK_BITS) // (len(minimal) + len(tests))
+    start, size = 0, min(256, limit)
+    while start < len(w):
+        ws = w[start:start + size]
+        hit = (ws == minimal).any(axis=0) | (((ws & flip) == bit) & q[ws ^ flip]).any(axis=0)
+        if hit.any():
+            return int(ws[hit.argmax()])
+        start, size = start + size, min(2 * size, limit)
     raise AssertionError("no recorded element of Q(n) has the optimal delta")
 
 
@@ -394,7 +439,21 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     from ``_meet`` on the signed sums of the low n // 2 weights and of the
     rest.  If v* is above the total's parity, no element has delta 0,
     negation halves Q(n), and the answer is the smallest recorded mask with
-    delta v*: ``_meet``'s rows give every mask with that delta at once, and
+    delta v*.
+
+    v* is the least |delta| over all of P(n), so a lower cover of a mask
+    with delta v* has gain 0 or at least 2 v*, and then negative delta.
+    When no move has gain 0 (no two adjacent weights tie and the last one
+    is nonzero), every member of Q(n) with delta v* is therefore recorded:
+    one that is not minimal has a lower cover in Q(n).  No mask outside
+    Q(n) has delta v* then either: R-(n) lies at delta <= 0, and a mask of
+    R+(n) whose lower covers are all negative is minimal in R+(n), the
+    alternating vector +-+-..., whose delta would then be half the sum of
+    its at least two lower covers' gains, so at least 2 v*.  So the
+    smallest mask with delta v*, the smallest low mask of the first row
+    that meets v*, is tested first, and without a tie or a zero weight it
+    is the answer.
+    Otherwise ``_meet``'s rows give every mask with delta v* at once, and
     they are sorted and tested in ascending slices (one at a time by
     ``_first_recorded`` for small instances).
     """
@@ -413,7 +472,7 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     q = q_membership_table(n)
     minimal = [min_element_mask(n, k) for k in range((n - 1) // 2 + 1)]
     if best is not None and n <= _SWEEP_PY_MAX_N:
-        return _first_recorded(c, best, q, minimal), best
+        return _first_recorded(c, best, memoryview(q), minimal), best
     lows, highs = _delta_table(c[:h]), _delta_table(c[h:])
     order = np.argsort(lows)  # ties in no set order: the masks are sorted below
     keys = lows[order]
@@ -431,29 +490,17 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     # v* - hd, from index i[t] on.  v* <= c[0], a low weight, so
     # |v* - hd| <= c[0] + sum(c[h:]) <= total: no int64 overflow.
     rows = np.flatnonzero(nearest == best)
+    moves = _negative_lower_covers(c, best)
+    t = int(rows[0])
+    w = t << h | int(order[i[t]:keys.searchsorted(best - highs[t], "right")].min())
+    if _recorded(w, memoryview(q), minimal, moves):
+        return w, best
     first = i[rows]
     counts = np.searchsorted(keys, best - highs[rows], "right") - first
     # row r's masks are those at sorted indices first[r] .. first[r] + counts[r]
     p = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
     w = np.sort(np.repeat(rows, counts) << h | order[p])
-    w = w[q[w]]
-    # one row per test: any(axis=0) then ORs whole rows, which numpy does
-    # faster than reducing many short rows
-    tests = np.array(_negative_lower_covers(c, best), dtype=np.int64).reshape(-1, 2)
-    flip, bit = tests.T[:, :, None]
-    minimal = np.array(minimal)[:, None]
-    # ascending masks, in slices that double from 256 while each test's
-    # (tests x masks) temporaries stay within 2**_BLOCK_BITS cells: the
-    # answer is often among the first few of thousands of candidates
-    limit = (1 << _BLOCK_BITS) // (len(minimal) + len(tests))
-    start, size = 0, min(256, limit)
-    while start < len(w):
-        ws = w[start:start + size]
-        hit = (ws == minimal).any(axis=0) | (((ws & flip) == bit) & q[ws ^ flip]).any(axis=0)
-        if hit.any():
-            return int(ws[hit.argmax()]), best
-        start, size = start + size, min(2 * size, limit)
-    raise AssertionError("no recorded element of Q(n) has the optimal delta")
+    return _vectorized_walk(w[q[w]], q, minimal, moves), best
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +510,13 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
 def solve_min_fastpath(inst: Instance) -> Solution | None:
     """The first minimal element of Q(n) with nonnegative delta is optimal.
 
-    Checks each of the floor((n-1)/2) + 1 minimal elements in O(n); returns
-    None when none qualifies.
+    Reads the floor((n-1)/2) + 1 minimal elements' deltas from one O(n)
+    pass over prefix sums; returns None when none qualifies.
     """
     n = inst.n
     if n < 3:
         raise TooSmall("Q(n) is empty for n < 3")
-    for k in range((n - 1) // 2 + 1):
-        d = 2 * sum(inst.c[k:2 * k + 1]) - inst.total  # +1 exactly at entries k+1..2k+1
+    for k, d in enumerate(_minimal_deltas(inst)):
         if d >= 0:
             return _make_solution(inst, min_element_mask(n, k), d, "minfast", k + 1)
     return None
@@ -489,8 +535,8 @@ def solve_corollary(inst: Instance) -> Solution | None:
     n, c = inst.n, inst.c
     if n < 3:
         raise TooSmall("Q(n) is empty for n < 3")
-    for k in range((n - 1) // 2 + 1):
-        d_top = inst.total - 2 * sum(c[k:2 * k + 1])
+    for k, d in enumerate(_minimal_deltas(inst)):
+        d_top = -d
         if d_top < 0:
             continue
         if k != 0 and d_top > c[k - 1] - c[k]:

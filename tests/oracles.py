@@ -13,6 +13,8 @@ import bisect
 import heapq
 import itertools
 
+import numpy as np
+
 from partition_posets import (
     TooLarge,
     apply_addition,
@@ -252,23 +254,27 @@ def min_abs_delta(values: list[int]) -> int:
 
 def min_abs_delta_halves(values: list[int]) -> int:
     """Optimal |delta| by matching subset sums of the two halves of the values
-    (Horowitz & Sahni): for each left sum, the nearest right sums to half the
-    remainder."""
+    (Horowitz & Sahni): for each left sum s, the sorted right sums nearest
+    to half the remainder, found by ``np.searchsorted``.
+
+    Every sum is of disjoint values, so below the total and 2**63: a pair
+    s + r is at most the total, and its delta total - 2 (s + r) is formed
+    as (total - (s + r)) - (s + r), which stays within int64."""
     def sums(part):
-        out = [0]
+        out = np.zeros(1, dtype=np.int64)
         for v in part:
-            out += [s + v for s in out]
+            out = np.concatenate((out, out + v))
         return out
 
     total = sum(values)
     h = len(values) // 2
-    right = sorted(sums(values[h:]))
+    left, right = sums(values[:h]), np.sort(sums(values[h:]))
+    # the first right sum r with 2 r >= total - 2 s, and the one before it
+    i = np.searchsorted(right, (total + 1) // 2 - left)
     best = total
-    for s in sums(values[:h]):
-        gap = total - 2 * s  # want 2 * r as close to gap as possible
-        i = bisect.bisect_left(right, (gap + 1) // 2)
-        for r in right[max(i - 1, 0) : i + 1]:
-            best = min(best, abs(gap - 2 * r))
+    for j in (i - 1, i):
+        x = left + right[np.clip(j, 0, len(right) - 1)]
+        best = min(best, int(np.abs((total - x) - x).min()))
     return best
 
 

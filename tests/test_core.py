@@ -49,6 +49,9 @@ def test_normalize_stable_on_ties():
     inst = normalize_instance([5, 5, 5])
     assert inst.c == (5, 5, 5)
     assert inst.perm == (1, 2, 3)
+    inst = normalize_instance([2, 5, 0, 2, 5, 0])
+    assert inst.c == (5, 5, 2, 2, 0, 0)
+    assert inst.perm == (2, 5, 1, 4, 3, 6)
 
 
 def test_normalize_allows_zero():
@@ -68,6 +71,21 @@ def test_normalize_errors():
         normalize_instance([1 << 63])
     with pytest.raises(Overflow):
         normalize_instance([(1 << 62), (1 << 62)])
+
+
+def test_normalize_reports_the_first_offending_weight():
+    # with a negative weight and one of 2**63 or more, the first in input
+    # order decides the error
+    with pytest.raises(Overflow) as excinfo:
+        normalize_instance([2**63, -1])
+    assert str(excinfo.value) == f"weight {2**63} does not fit in 63 bits"
+    with pytest.raises(NegativeValue) as excinfo:
+        normalize_instance([-1, 2**63])
+    assert str(excinfo.value) == "weights must be nonnegative, got -1"
+    # a bad weight outranks an overflowing total
+    with pytest.raises(NegativeValue) as excinfo:
+        normalize_instance([2**62, 2**62, -1])
+    assert str(excinfo.value) == "weights must be nonnegative, got -1"
 
 
 def test_normalize_rejects_more_weights_than_a_bitmask_holds():

@@ -363,6 +363,85 @@ def test_full_sweep_matches_bisect_oracle(dp_filter, monkeypatch):
     assert walks["python"] > 100 if dp_filter else walks["python"] == 0
 
 
+def _spy_walk(monkeypatch):
+    # logs each call of the vectorized walk, the closed form's fallback once
+    # its first candidate, the smallest mask with the optimal delta, fails
+    walks = []
+    walk = solver._vectorized_walk
+    monkeypatch.setattr(solver, "_vectorized_walk", lambda *args: walks.append(1) or walk(*args))
+    return walks
+
+
+def _boundary63(rng, n):
+    # the benchmark's 63-bit boundary family: the total lies in [2**62, 2**63)
+    cap = (2**63 - 1) // n
+    return [rng.randrange(cap // 2, cap) for _ in range(n)]
+
+
+def test_closed_form_needs_one_candidate_without_ties(monkeypatch):
+    # with distinct weights and no zero, no cover move has gain 0, so the
+    # smallest mask with the optimal delta lies in Q(n) and is recorded: the
+    # walk never runs.  Phase and 63-bit boundary weights, beyond the DP
+    # filter (phase from n = 14 on), so that the numpy kernel finds v*
+    walks = _spy_walk(monkeypatch)
+    rng = random.Random(19)
+    answered = 0
+    for n in range(3, 25):
+        for name, draw in (("phase", PRUNED_FAMILIES["phase"]), ("boundary63", _boundary63)):
+            if name == "phase" and n < 14:
+                continue
+            for _ in range(2):
+                raw = draw(rng, n)
+                inst = normalize_instance(raw)
+                assert n * (inst.total + 1) > solver.SWEEP_DP_MAX_CELLS
+                if len(set(raw)) < n:
+                    continue
+                got = solver._full_sweep(inst)
+                assert got == oracles.full_sweep_by_bisect(inst), (name, raw)
+                answered += got is not None
+    assert not walks and answered > 40
+
+
+def test_closed_form_walks_past_an_unrecorded_first_candidate(monkeypatch):
+    # a parity-gap instance of the benchmark (n = 17, seed 4): ties and
+    # zeros leave its smallest mask of delta 5 unrecorded, and the walk
+    # finds the answer among the later candidates
+    walks = _spy_walk(monkeypatch)
+    raw = [60, 85, 55, 0, 15, 15, 45, 50, 55, 50, 35, 5, 0, 5, 15, 70, 15]
+    inst = normalize_instance(raw)
+    assert inst.n > solver._SWEEP_PY_MAX_N  # past the pure-Python walk
+    sol = solve_pruned(inst)
+    assert walks == [1]
+    assert (sol.subset.indices, sol.delta, sol.nodes_visited) == ((1, 3, 9, 10, 16), 5, 41226)
+    assert solver._full_sweep(inst) == oracles.full_sweep_by_bisect(inst)
+
+
+def _tie_heavy(rng, n):
+    # two or three distinct multipliers, one odd and one even, small or 40
+    # bits (beyond the DP filter), times a step of 3, 5 or 7; the odd
+    # multiplier sum puts the optimum at the step or above, over the parity
+    # bound 1, so the closed form always answers
+    pool = rng.sample(range(rng.choice((21, 1 << 40))), 3)[:rng.choice((2, 3))]
+    pool[0] |= 1
+    pool[1] &= ~1
+    m = [rng.choice(pool) for _ in range(n)]
+    if sum(m) % 2 == 0:
+        m[0] = pool[m[0] % 2]  # the other parity
+    step = rng.choice((3, 5, 7))
+    return [step * x for x in m]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 14), st.randoms(use_true_random=False))
+def test_pruned_matches_naive_ascent_on_ties_property(n, rng):
+    # tied adjacent weights and zeros give cover moves of gain 0, the one
+    # case where the closed form's first candidate can fail; either way the
+    # answer is the naive ascent's
+    raw = _tie_heavy(rng, n)
+    sol = solve_pruned(normalize_instance(raw))
+    assert (sol.subset.indices, sol.delta, sol.nodes_visited) == oracles.pruned_ascent(raw)
+
+
 @pytest.mark.parametrize("n", range(17, 23))
 def test_pruned_int64_headroom(n, monkeypatch):
     # totals just below 2**63 without a certificate: the closed-form sweep's
@@ -776,6 +855,9 @@ def test_halves_oracle_matches_subset_scan():
         for n in range(1, 11):
             raw = draw(rng, n)
             assert oracles.min_abs_delta_halves(raw) == oracles.min_abs_delta(raw), (name, raw)
+    for n in range(1, 11):  # totals just below 2**63, at the top of int64's exact range
+        raw = _near_2_63(rng, n)
+        assert oracles.min_abs_delta_halves(raw) == oracles.min_abs_delta(raw), raw
 
 
 def test_beyond_table_paths_agree():
