@@ -38,7 +38,6 @@ PRUNED_MAX_N = 24
 DP_MAX_CELLS = 10**8
 SWEEP_DP_MAX_CELLS = 1 << 22  # _full_sweep reads v* from the DP bitset up to here
 _BLOCK_BITS = 20  # scans and candidate tests hold 2**20-cell (8 MB) arrays
-_SWEEP_PY_MAX_N = 16  # up to here _full_sweep walks DP-sized instances in pure Python
 
 ALGORITHMS = ("brute", "dp", "qenum", "pruned", "minfast", "corollary", "mitm", "auto")
 
@@ -166,48 +165,38 @@ def solve_brute(inst: Instance) -> Solution:
     return _make_solution(inst, mask, d, "brute", scanned)
 
 
-def _reachable_sums(c: tuple[int, ...]) -> list[int]:
-    """Bitsets of the subset sums of c[:i] for i = 0..n: bit s is set when
-    some subset of those weights sums to s."""
-    sums = [1]
+def _dp_optimum(inst: Instance) -> tuple[int, int]:
+    """``solve_dp``'s (mask, delta), without its size check."""
+    c, total = inst.c, inst.total
+    snapshots = [1]  # bit s of snapshots[i]: some subset of c[:i] sums to s
     for ci in c:
-        sums.append(sums[-1] | sums[-1] << ci)
-    return sums
-
-
-def _closest_sum(reach: int, total: int) -> int:
-    """The reachable sum s closest to total/2, preferring s above it on ties;
-    |2 s - total| is then the optimal |delta|."""
-    half = total // 2
-    s_lo = (reach & ((1 << (half + 1)) - 1)).bit_length() - 1
-    rest = reach >> (half + 1)
-    if not rest:
-        return s_lo
-    s_hi = half + 1 + ((rest & -rest).bit_length() - 1)
-    return s_hi if 2 * s_hi - total <= total - 2 * s_lo else s_lo
+        snapshots.append(snapshots[-1] | snapshots[-1] << ci)
+    half = (total + 1) // 2
+    rest = snapshots[-1] >> half  # never 0: the total itself is reachable
+    s = chosen = half + (rest & -rest).bit_length() - 1
+    mask = 0
+    for i in range(inst.n - 1, -1, -1):
+        if not snapshots[i] >> s & 1:  # unreachable without item i+1: take it
+            mask |= 1 << i
+            s -= c[i]
+    if s != 0:
+        raise AssertionError("backtracking failed to reproduce the chosen sum")
+    return mask, 2 * chosen - total
 
 
 def solve_dp(inst: Instance) -> Solution:
     """Pseudo-polynomial oracle: reachable subset sums as bitsets.
 
-    Picks the reachable sum closest to total/2 (preferring the nonnegative
-    side on ties) and backtracks to the smallest-bitmask subset reaching it.
+    The complement of a subset summing below total/2 sums as far above it,
+    so the smallest reachable sum >= total/2 is the closest to it, and the
+    answer has delta +v* >= 0, the optimum.  The backtrack takes a weight
+    only when the sum is unreachable without it, clearing every high bit it
+    can, so the answer is the smallest bitmask of delta +v*.
     """
-    n, total = inst.n, inst.total
-    if n * (total + 1) > DP_MAX_CELLS:
+    cells = inst.n * (inst.total + 1)
+    if cells > DP_MAX_CELLS:
         raise TooLarge(f"DP table would exceed {DP_MAX_CELLS} cells")
-    snapshots = _reachable_sums(inst.c)
-    s = chosen = _closest_sum(snapshots[-1], total)
-    mask = 0
-    for i in range(n - 1, -1, -1):
-        if not snapshots[i] >> s & 1:  # unreachable without item i+1: take it
-            mask |= 1 << i
-            s -= inst.c[i]
-    if s != 0:
-        raise AssertionError("backtracking failed to reproduce the chosen sum")
-    return _make_solution(
-        inst, mask, 2 * chosen - total, "dp", n * (total + 1)
-    )
+    return _make_solution(inst, *_dp_optimum(inst), "dp", cells)
 
 
 def solve_mitm(inst: Instance) -> Solution:
@@ -383,25 +372,6 @@ def _recorded(w: int, q: memoryview, minimal: list[int], moves: list[tuple[int, 
     return q[w] and (w in minimal or any(w & f == b and q[w ^ f] for f, b in moves))
 
 
-def _first_recorded(c: tuple[int, ...], best: int, q: memoryview, minimal: list[int]) -> int:
-    """``_full_sweep``'s walk in pure Python, for instances within the DP
-    bound up to n = _SWEEP_PY_MAX_N: on tables this small, numpy's fixed
-    cost per call, paid again after each stretch of pure Python, would
-    exceed the whole walk.  The low signed sums are grouped by value, so
-    each high sum hd lists the masks of delta ``best`` in ascending order."""
-    h = len(c) // 2
-    moves = _negative_lower_covers(c, best)
-    by_sum: dict[int, list[int]] = {}
-    for lo, d in enumerate(_signed_sums(c[:h])):
-        by_sum.setdefault(d, []).append(lo)
-    for t, hd in enumerate(_signed_sums(c[h:])):
-        for lo in by_sum.get(best - hd, ()):
-            w = t << h | lo
-            if _recorded(w, q, minimal, moves):
-                return w
-    raise AssertionError("no recorded element of Q(n) has the optimal delta")
-
-
 def _vectorized_walk(w: np.ndarray, q: np.ndarray, minimal: list[int],
                      moves: list[tuple[int, int]]) -> int:
     """The first recorded mask of ``w``, the ascending members of Q(n) with
@@ -427,6 +397,18 @@ def _vectorized_walk(w: np.ndarray, q: np.ndarray, minimal: list[int],
     raise AssertionError("no recorded element of Q(n) has the optimal delta")
 
 
+def _half_sums(c: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The signed sums ``highs`` of c[h:] (h = n // 2), the masks ``order``
+    that sort those of c[:h] into ``keys``, ``_meet``'s indices ``i``, and
+    each row's least delta >= 0, ``keys[i] + highs`` (clipped to real sums)."""
+    h = len(c) // 2
+    lows, highs = _delta_table(c[:h]), _delta_table(c[h:])
+    order = lows.argsort()  # ties in no set order: the masks are sorted below
+    keys = lows[order]
+    i = _meet(keys, highs)
+    return highs, order, keys, i, keys.take(i, mode="clip") + highs
+
+
 def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     """The (mask, delta) that ``solve_pruned``'s ascent ends with, or None
     when its parity stop will fire.
@@ -434,12 +416,13 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     Q(n) is convex in P(n) and delta never decreases along covers, so
     without the parity stop the ascent pops every negative element of Q(n)
     and records exactly the nonnegative ones that are minimal or have a
-    negative lower cover in Q(n).  The optimum v* comes from the reachable-sum
-    bitset when ``n * (total + 1)`` is at most SWEEP_DP_MAX_CELLS, otherwise
-    from ``_meet`` on the signed sums of the low n // 2 weights and of the
-    rest.  If v* is above the total's parity, no element has delta 0,
-    negation halves Q(n), and the answer is the smallest recorded mask with
-    delta v*.
+    negative lower cover in Q(n).  The optimum v* and the smallest mask
+    with delta +v* come from ``dp``'s bitset and backtrack when
+    ``n * (total + 1)`` is at most SWEEP_DP_MAX_CELLS, otherwise from
+    ``_meet`` on the signed sums of the low n // 2 weights and of the rest:
+    the smallest low mask of the first row that meets v*.  If v* is above
+    the total's parity, no element has delta 0, negation halves Q(n), and
+    the answer is the smallest recorded mask with delta v*.
 
     v* is the least |delta| over all of P(n), so a lower cover of a mask
     with delta v* has gain 0 or at least 2 v*, and then negative delta.
@@ -450,51 +433,44 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     R+(n) whose lower covers are all negative is minimal in R+(n), the
     alternating vector +-+-..., whose delta would then be half the sum of
     its at least two lower covers' gains, so at least 2 v*.  So the
-    smallest mask with delta v*, the smallest low mask of the first row
-    that meets v*, is tested first, and without a tie or a zero weight it
-    is the answer.
-    Otherwise ``_meet``'s rows give every mask with delta v* at once, and
-    they are sorted and tested in ascending slices (one at a time by
-    ``_first_recorded`` for small instances).
+    smallest mask with delta v* is tested first, and without a tie or a
+    zero weight it is the answer.  Otherwise ``_meet``'s rows give every
+    mask with delta v* at once, and they are sorted and tested in
+    ascending slices.
     """
     n, c, total = inst.n, inst.c, inst.total
-    best = None
+    h = n // 2
+    halves = None
     if n * (total + 1) <= SWEEP_DP_MAX_CELLS:
-        best = abs(2 * _closest_sum(_reachable_sums(c)[-1], total) - total)
+        w, best = _dp_optimum(inst)
         if best == total & 1:
             return None
+    else:
+        halves = highs, order, keys, i, nearest = _half_sums(c)
+        # negating every sign shows that v* is attained with delta +v*,
+        # which the first low sum >= -hd of that row gives: no need to look
+        # below -hd
+        best = int(abs(nearest).min())
+        if best == total & 1:
+            return None
+        # A low sum in [-hd, v* - hd) would beat v*, so the masks t << h | lo
+        # with delta v* are those of the rows t whose first low sum >= -hd is
+        # v* - hd, from index i[t] on.  v* <= c[0], a low weight, so
+        # |v* - hd| <= c[0] + sum(c[h:]) <= total: no int64 overflow.
+        t = int((nearest == best).argmax())
+        w = t << h | int(order[i[t]:keys.searchsorted(best - highs[t], "right")].min())
     # imported after the filter: its parity stops skip the import's cost
     import numpy as np
 
     from .poset import q_membership_table
 
-    h = n // 2
     q = q_membership_table(n)
     minimal = [min_element_mask(n, k) for k in range((n - 1) // 2 + 1)]
-    if best is not None and n <= _SWEEP_PY_MAX_N:
-        return _first_recorded(c, best, memoryview(q), minimal), best
-    lows, highs = _delta_table(c[:h]), _delta_table(c[h:])
-    order = np.argsort(lows)  # ties in no set order: the masks are sorted below
-    keys = lows[order]
-    i = _meet(keys, highs)
-    nearest = keys.take(i, mode="clip") + highs
-    if best is None:
-        # negating every sign shows that v* is attained with delta +v*,
-        # which the first low sum >= -hd of that row gives: no need to look
-        # below -hd
-        best = int(np.abs(nearest).min())
-        if best == total & 1:
-            return None
-    # A low sum in [-hd, v* - hd) would beat v*, so the masks t << h | lo
-    # with delta v* are those of the rows t whose first low sum >= -hd is
-    # v* - hd, from index i[t] on.  v* <= c[0], a low weight, so
-    # |v* - hd| <= c[0] + sum(c[h:]) <= total: no int64 overflow.
-    rows = np.flatnonzero(nearest == best)
     moves = _negative_lower_covers(c, best)
-    t = int(rows[0])
-    w = t << h | int(order[i[t]:keys.searchsorted(best - highs[t], "right")].min())
     if _recorded(w, memoryview(q), minimal, moves):
         return w, best
+    highs, order, keys, i, nearest = halves or _half_sums(c)
+    rows = np.flatnonzero(nearest == best)
     first = i[rows]
     counts = np.searchsorted(keys, best - highs[rows], "right") - first
     # row r's masks are those at sorted indices first[r] .. first[r] + counts[r]

@@ -104,6 +104,24 @@ def test_dp_agrees_with_brute():
         assert solve_dp(inst).abs_delta == solve_brute(inst).abs_delta
 
 
+def test_dp_answers_plus_optimum_at_smallest_mask():
+    # pruned's closed form takes its first candidate from solve_dp: delta
+    # +v*, never -v*, at the smallest mask of that delta, also where zeros
+    # and ties give many masks the optimum
+    rng = random.Random(29)
+    families = [SWEEP_FAMILIES["zeros"], PRUNED_FAMILIES["ties_zeros"], PRUNED_FAMILIES["uniform"]]
+    for n in range(1, 15):
+        for draw in families:
+            for _ in range(6):
+                inst = normalize_instance(draw(rng, n))
+                sol = solve_dp(inst)
+                sums = oracles.signed_sums(inst.c)
+                best = min(map(abs, sums))
+                chosen = set(sol.subset.indices)
+                mask = sum(1 << i for i, p in enumerate(inst.perm) if p in chosen)
+                assert sol.delta == best and mask == sums.index(best), inst.c
+
+
 # ---------------------------------------------------------------------------
 # middle-poset enumeration
 
@@ -342,25 +360,29 @@ SWEEP_FAMILIES = {
 @pytest.mark.parametrize("dp_filter", [True, False], ids=["dp-filter", "kernel-only"])
 def test_full_sweep_matches_bisect_oracle(dp_filter, monkeypatch):
     # the check against the pure-Python bisect sweep it replaced, with v*
-    # read from the DP bitset where it is small (walked in pure Python up to
-    # n = 16, in numpy above), and with that filter off (numpy throughout, in
-    # slices small enough that walks cross slice boundaries)
+    # and the first candidate read from the DP bitset and backtrack where
+    # it is small, and with that filter off (the half-sum kernel throughout,
+    # in slices small enough that walks cross slice boundaries).  Either
+    # way a failed first candidate falls through to the numpy walk, also
+    # at n <= 16 within the DP filter
     if not dp_filter:
         monkeypatch.setattr(solver, "SWEEP_DP_MAX_CELLS", 0)
         monkeypatch.setattr(solver, "_BLOCK_BITS", 10)
+    walks = _spy_walk(monkeypatch)
     rng = random.Random(331)
-    walks = {"python": 0, "numpy": 0}
+    small_walks = answered = 0
     for n in range(3, 23):
         for name, draw in SWEEP_FAMILIES.items():
             for _ in range(4 if n <= 16 else 1):
                 inst = normalize_instance(draw(rng, n))
                 expected = oracles.full_sweep_by_bisect(inst)
+                before = len(walks)
                 assert solver._full_sweep(inst) == expected, (name, inst.c)
-                if expected is not None:
-                    small = n * (inst.total + 1) <= solver.SWEEP_DP_MAX_CELLS
-                    walks["python" if small and n <= 16 else "numpy"] += 1
-    assert walks["numpy"] > 50
-    assert walks["python"] > 100 if dp_filter else walks["python"] == 0
+                answered += expected is not None
+                small = n <= 16 and n * (inst.total + 1) <= solver.SWEEP_DP_MAX_CELLS
+                small_walks += small and len(walks) > before
+    assert answered > 250 and len(walks) > 50
+    assert small_walks > 40 if dp_filter else small_walks == 0
 
 
 def _spy_walk(monkeypatch):
@@ -409,7 +431,8 @@ def test_closed_form_walks_past_an_unrecorded_first_candidate(monkeypatch):
     walks = _spy_walk(monkeypatch)
     raw = [60, 85, 55, 0, 15, 15, 45, 50, 55, 50, 35, 5, 0, 5, 15, 70, 15]
     inst = normalize_instance(raw)
-    assert inst.n > solver._SWEEP_PY_MAX_N  # past the pure-Python walk
+    # v* and the first candidate come from the DP bitset and backtrack
+    assert inst.n * (inst.total + 1) <= solver.SWEEP_DP_MAX_CELLS
     sol = solve_pruned(inst)
     assert walks == [1]
     assert (sol.subset.indices, sol.delta, sol.nodes_visited) == ((1, 3, 9, 10, 16), 5, 41226)
