@@ -204,18 +204,23 @@ def meet_join(v: SignVector, w: SignVector) -> tuple[SignVector, SignVector]:
 # enumeration and the Hasse DAG
 
 
+def _check_size(n: int, limit: int, what: str, force: bool) -> None:
+    """Raise unless 1 <= n <= MAX_N and, without ``force``, n <= ``limit``."""
+    if n < 1:
+        raise TooSmall("n must be at least 1")
+    if n > MAX_N:
+        raise TooLarge(f"sign vectors are capped at n = {MAX_N}")
+    if n > limit and not force:
+        raise TooLarge(f"{what} capped at n = {limit} (force=True overrides)")
+
+
 def iter_poset(n: int, kind: PosetKind, *, force: bool = False) -> Iterator[SignVector]:
     """Yield every element of the named poset once, in ascending bitmask order.
 
     ``force`` lifts the enumeration cap for P; the other kinds are read from
     membership tables, which stop at n = 24 regardless.
     """
-    if n < 1:
-        raise TooSmall("n must be at least 1")
-    if n > MAX_N:
-        raise TooLarge(f"sign vectors are capped at n = {MAX_N}")
-    if n > ENUM_MAX_N and not force:
-        raise TooLarge(f"enumeration capped at n = {ENUM_MAX_N} (force=True overrides)")
+    _check_size(n, ENUM_MAX_N, "enumeration", force)
     if kind is PosetKind.P:
         for mask in range(1 << n):
             yield SignVector(n, mask)
@@ -275,15 +280,7 @@ def build_hasse(n: int, kind: PosetKind, *, force: bool = False) -> HasseDag:
     """
     if kind not in (PosetKind.P, PosetKind.Q):
         raise ValueError("Hasse DAGs are built for kinds P and Q")
-    if n < 1:
-        raise TooSmall("n must be at least 1")
-    if n > MAX_N:
-        raise TooLarge(f"sign vectors are capped at n = {MAX_N}")
-    limit = DAG_MAX_N[kind.value]
-    if n > limit and not force:
-        raise TooLarge(
-            f"{kind.value}({n}) DAG capped at n = {limit} (force=True overrides)"
-        )
+    _check_size(n, DAG_MAX_N[kind.value], f"{kind.value}({n}) DAG", force)
     if n > _TABLE_MAX_N:
         raise TooLarge(f"DAGs are built from membership tables, which stop at n = {_TABLE_MAX_N}")
     member = q_membership_table(n) if kind is PosetKind.Q else np.ones(1 << n, dtype=bool)

@@ -39,8 +39,6 @@ DP_MAX_CELLS = 10**8
 SWEEP_DP_MAX_CELLS = 1 << 22  # _full_sweep reads v* from the DP bitset up to here
 _BLOCK_BITS = 20  # scans and candidate tests hold 2**20-cell (8 MB) arrays
 
-ALGORITHMS = ("brute", "dp", "qenum", "pruned", "minfast", "corollary", "mitm", "auto")
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -79,19 +77,22 @@ def _delta_table(c: tuple[int, ...]) -> np.ndarray:
     return np.add.outer(highs, np.array(_signed_sums(c[:h]), dtype=np.int64)).ravel()
 
 
-def _meet(keys: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Horowitz & Sahni's half-sum kernel: for each high sum hd, the index
-    of the first of the sorted low sums ``keys`` that is >= -hd.
+def _meet(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Horowitz & Sahni's half-sum kernel: the low sums sorted into
+    ``keys``; for each high sum hd, the index ``first`` of the first key
+    >= -hd; and ``nearest``, that key plus hd, each row's least sum >= 0
+    (clipped to the last key in a row where every key is below -hd).
 
     The queries -hd are searched in ascending order, so each search starts
     where the last one ended."""
     import numpy as np
 
+    keys = np.sort(lows)
     queries = -highs
     by_query = np.argsort(queries)
     first = np.empty_like(by_query)
     first[by_query] = np.searchsorted(keys, queries[by_query])
-    return first
+    return keys, first, keys.take(first, mode="clip") + highs
 
 
 def _minimal_deltas(inst: Instance) -> list[int]:
@@ -210,7 +211,7 @@ def solve_mitm(inst: Instance) -> Solution:
     of each -hd, which give the optimum v*; the smallest mask reaching it
     lies in the first row t that meets v* - hd or -v* - hd, at the smallest
     low mask of either sum.  ``nodes_visited`` counts the half sums built.  Capped at
-    n = 44, where a call peaks near 200 MB.
+    n = 44, where a call peaks near 175 MB.
     """
     n, c = inst.n, inst.c
     if n > 44:
@@ -221,11 +222,8 @@ def solve_mitm(inst: Instance) -> Solution:
     lows = _delta_table(c[1:h])
     lows += c[0]
     highs = _delta_table(c[h:])
-    keys = np.sort(lows)
-    i = _meet(keys, highs)
-    # the first low sum >= -hd and the one before it (clipped to real sums)
-    above = keys.take(i, mode="clip") + highs
-    below = keys.take(i - 1, mode="clip") + highs
+    keys, i, above = _meet(lows, highs)
+    below = keys.take(i - 1, mode="clip") + highs  # the low sum before ``above``'s
     best = min(int(np.abs(above).min()), int(np.abs(below).min()))
     # v* <= c[0], so |v* - hd| <= c[0] + sum(c[h:]) <= total: no overflow
     t = int(np.argmax((above == best) | (below == -best)))
@@ -349,20 +347,19 @@ def solve_pruned(inst: Instance) -> Solution:
     raise AssertionError("the ascent ended without its parity stop")
 
 
-def _negative_lower_covers(c: tuple[int, ...], best: int) -> list[tuple[int, int]]:
-    """The cover moves whose delta gain exceeds ``best``, as (flip, bit)
-    pairs: a mask w with w & flip == bit has the lower cover w ^ flip, whose
-    delta is negative when w's is ``best``.  A move of ``cover_moves`` sets
+def _negative_lower_covers(c: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The cover moves of positive delta gain, as (flip, bit) pairs: a mask
+    w with w & flip == bit has the lower cover w ^ flip, whose delta is
+    negative when w's is the optimum v*.  A move of ``cover_moves`` sets
     bit flip ^ low and clears bit low (none for the addition), so its gain
     is twice the difference of those two bits' weights.
 
-    ``best`` is the optimum v*, the least |delta| over all of P(n), so a
-    lower cover of a mask with delta v* has delta v* (gain 0) or at most
-    -v* (gain at least 2 v*): on those masks ``gain > best`` is the same
-    test as ``gain > 0``."""
+    v* is the least |delta| over all of P(n), so a lower cover of a mask
+    with delta v* has delta v* (gain 0) or at most -v* (gain at least
+    2 v*): on those masks a positive gain means a negative lower cover."""
     weight = (0, *c)  # weight[b.bit_length()] is one-bit mask b's weight, 0 for b = 0
     return [(flip, flip ^ low) for flip, low in cover_moves(len(c))
-            if 2 * (weight[(flip ^ low).bit_length()] - weight[low.bit_length()]) > best]
+            if weight[(flip ^ low).bit_length()] > weight[low.bit_length()]]
 
 
 def _recorded(w: int, q: memoryview, minimal: list[int], moves: list[tuple[int, int]]) -> bool:
@@ -398,15 +395,13 @@ def _vectorized_walk(w: np.ndarray, q: np.ndarray, minimal: list[int],
 
 
 def _half_sums(c: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The signed sums ``highs`` of c[h:] (h = n // 2), the masks ``order``
-    that sort those of c[:h] into ``keys``, ``_meet``'s indices ``i``, and
-    each row's least delta >= 0, ``keys[i] + highs`` (clipped to real sums)."""
+    """The signed sums ``lows`` of c[:h] (h = n // 2) and ``highs`` of
+    c[h:], then ``_meet``'s ``keys``, ``first`` and ``nearest`` on them:
+    mask t << h | lo has delta lows[lo] + highs[t], and nearest[t] is row
+    t's least delta >= 0."""
     h = len(c) // 2
     lows, highs = _delta_table(c[:h]), _delta_table(c[h:])
-    order = lows.argsort()  # ties in no set order: the masks are sorted below
-    keys = lows[order]
-    i = _meet(keys, highs)
-    return highs, order, keys, i, keys.take(i, mode="clip") + highs
+    return lows, highs, *_meet(lows, highs)
 
 
 def _full_sweep(inst: Instance) -> tuple[int, int] | None:
@@ -434,9 +429,9 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     alternating vector +-+-..., whose delta would then be half the sum of
     its at least two lower covers' gains, so at least 2 v*.  So the
     smallest mask with delta v* is tested first, and without a tie or a
-    zero weight it is the answer.  Otherwise ``_meet``'s rows give every
-    mask with delta v* at once, and they are sorted and tested in
-    ascending slices.
+    zero weight it is the answer.  Otherwise the rows that meet v* give
+    every mask with delta v* at once, read through the low sums' argsort,
+    and they are sorted and tested in ascending slices.
     """
     n, c, total = inst.n, inst.c, inst.total
     h = n // 2
@@ -446,7 +441,7 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
         if best == total & 1:
             return None
     else:
-        halves = highs, order, keys, i, nearest = _half_sums(c)
+        halves = lows, highs, keys, i, nearest = _half_sums(c)
         # negating every sign shows that v* is attained with delta +v*,
         # which the first low sum >= -hd of that row gives: no need to look
         # below -hd
@@ -455,10 +450,10 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
             return None
         # A low sum in [-hd, v* - hd) would beat v*, so the masks t << h | lo
         # with delta v* are those of the rows t whose first low sum >= -hd is
-        # v* - hd, from index i[t] on.  v* <= c[0], a low weight, so
-        # |v* - hd| <= c[0] + sum(c[h:]) <= total: no int64 overflow.
+        # v* - hd.  v* <= c[0], a low weight, so |v* - hd| <= c[0] +
+        # sum(c[h:]) <= total: no int64 overflow.
         t = int((nearest == best).argmax())
-        w = t << h | int(order[i[t]:keys.searchsorted(best - highs[t], "right")].min())
+        w = t << h | int((lows == best - highs[t]).argmax())
     # imported after the filter: its parity stops skip the import's cost
     import numpy as np
 
@@ -466,10 +461,11 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
 
     q = q_membership_table(n)
     minimal = [min_element_mask(n, k) for k in range((n - 1) // 2 + 1)]
-    moves = _negative_lower_covers(c, best)
+    moves = _negative_lower_covers(c)
     if _recorded(w, memoryview(q), minimal, moves):
         return w, best
-    highs, order, keys, i, nearest = halves or _half_sums(c)
+    lows, highs, keys, i, nearest = halves or _half_sums(c)
+    order = lows.argsort()  # keys == lows[order]; ties in no set order: sorted below
     rows = np.flatnonzero(nearest == best)
     first = i[rows]
     counts = np.searchsorted(keys, best - highs[rows], "right") - first
@@ -526,6 +522,10 @@ def solve_corollary(inst: Instance) -> Solution | None:
 # ---------------------------------------------------------------------------
 # dispatch
 
+_SOLVERS = {"brute": solve_brute, "dp": solve_dp, "qenum": solve_q_enum, "pruned": solve_pruned,
+            "minfast": solve_min_fastpath, "corollary": solve_corollary, "mitm": solve_mitm}
+ALGORITHMS = (*_SOLVERS, "auto")
+
 
 def solve(inst: Instance, algo: str = "auto") -> Solution | None:
     """Run the named algorithm; "auto" tries the fast paths, then the pruned
@@ -537,26 +537,13 @@ def solve(inst: Instance, algo: str = "auto") -> Solution | None:
     certificate answers and whose DP table is over DP_MAX_CELLS raises a
     ``TooLarge`` naming both caps.
     """
-    if algo == "brute":
-        return solve_brute(inst)
-    if algo == "dp":
-        return solve_dp(inst)
-    if algo == "qenum":
-        return solve_q_enum(inst)
-    if algo == "pruned":
-        return solve_pruned(inst)
-    if algo == "minfast":
-        return solve_min_fastpath(inst)
-    if algo == "corollary":
-        return solve_corollary(inst)
-    if algo == "mitm":
-        return solve_mitm(inst)
+    if algo in _SOLVERS:
+        return _SOLVERS[algo](inst)
     if algo != "auto":
         raise UnknownAlgorithm(f"unknown algorithm {algo!r}")
+    # by module name, not through _SOLVERS, so wrappers of these attributes see the calls
     if inst.n >= 3:
-        sol = solve_min_fastpath(inst)
-        if sol is None:
-            sol = solve_corollary(inst)
+        sol = solve_min_fastpath(inst) or solve_corollary(inst)
         if sol is not None:
             return sol
         if inst.n <= PRUNED_MAX_N:

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from partition_posets import PosetKind, build_hasse
+from partition_posets import ALGORITHMS, PosetKind, build_hasse
 from partition_posets.cli import main, read_instance_file, render_dot
 from partition_posets.errors import ParseError
 
@@ -61,11 +65,14 @@ def test_solve_json_round_trip(tmp_path, capsys):
     assert abs(payload["delta"]) == payload["abs_delta"]
 
 
-@pytest.mark.parametrize("algo", ["brute", "dp", "qenum", "pruned", "mitm", "auto"])
+@pytest.mark.parametrize("algo", ALGORITHMS)
 def test_solve_algorithms_agree_via_cli(tmp_path, capsys, algo):
+    # every name, minfast and corollary included: both certificates fire here
     path = write(tmp_path, "4 3 2 1\n")
     assert main(["solve", path, "--algo", algo, "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["abs_delta"] == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["abs_delta"] == 0
+    assert payload["algo"] == ("minfast" if algo == "auto" else algo)
 
 
 def test_solve_fast_path_without_certificate(tmp_path, capsys):
@@ -334,3 +341,87 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(poset, "verify_structure", fake_verify)
     assert main(["verify", "5", "--checks", "covers"]) == 1
     assert "covers: FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the command line as a process
+
+# the pinned instances, one weight list per file
+PIN_FILES = {
+    # pruned's closed-form sweep: a non-perfect phase instance at n = 21
+    # (optimum from the half-sum tables) and a parity-gap instance at n = 18
+    # (optimum from the DP bitset)
+    "phase21": "14766354 29460213 22651102 32278036 1403023 3836668 24255354 8353482 "
+               "21806620 31911695 23642689 9000238 19369915 13355341 846733 25766273 "
+               "3302305 24528480 10602891 16886606 24652517",
+    "gap18": "40 55 50 60 10 40 40 30 0 40 75 0 75 95 0 80 20 45",
+    # kernel-path instances, whose weights are beyond the DP filter, so the
+    # check runs before the ascent: a perfect instance at n = 16 (duplicated
+    # 40-bit halves; the check returns None, the ascent stops after 750 pops)
+    # and a 63-bit non-perfect instance at n = 17
+    "dup16": "1011707717353 660637959597 550786322915 898159780889 1011707717353 "
+             "1033311238886 1089925756095 863764036341 1033311238886 638293147116 "
+             "550786322915 660637959597 1089925756095 638293147116 898159780889 "
+             "863764036341",
+    "b63_17": "369387706609934748 431949825315441732 355474047590621151 403125999994407839 "
+              "523902309383865883 474182782287154558 437706600307409619 278406265843895776 "
+              "476167766719385420 376059563120549205 392971555590413573 386214230413203509 "
+              "440097317293017744 414945544980669160 304839485550902692 417223620850196009 "
+              "487490739131359683",
+    # small totals, within the DP filter: a non-perfect instance at n = 10
+    # (closed form) and a perfect one at n = 20 (parity stop after 344 pops)
+    "small10": "988 213 11 533 753 37 161 934 244 17",
+    "stop20": "155 459 675 522 246 978 152 493 973 530 123 670 248 811 221 404 438 226 629 293",
+    # the closed form's fallback: a parity-gap instance at n = 17 whose
+    # smallest mask of the optimal delta is left unrecorded by its ties and
+    # zeros, so the vectorized walk finds the answer
+    "gap17": "60 85 55 0 15 15 45 50 55 50 35 5 0 5 15 70 15",
+    # the same fallback within the DP filter: an auto -> pruned instance at
+    # n = 11 whose first candidate, dp's backtrack, is unrecorded
+    "walk11": "15 15 200 40 15 0 200 200 0 200 15",
+    # 30 weights of 40 bits, beyond pruned and the DP: auto's meet in the middle
+    "mitm30": "104184211328 826339674379 294813333313 180340570947 14867171083 56876858340 "
+              "884408767813 767314907615 880758768747 545561821547 617066411275 943874948300 "
+              "208587889087 612779707687 284795819888 682166842083 686666817047 300992779053 "
+              "259049298940 63435099450 392134614507 1035887565739 728621377531 994341214022 "
+              "734218057173 740967837105 43242828506 227396372768 573316503740 1056272195198",
+}
+
+# sha256 of stdout of `python -m partition_posets ARGS`, a PIN_FILES name
+# standing for its file; the golden unit tests pin DOT only up to Q(10) and
+# verify only up to n = 11 in process
+CLI_SHA256 = [
+    ("74557ec3614ad7a9639d6cf128ce5a92cf892e10076d89c45466bca24ff04ec2", "verify 10 --json"),
+    ("5d0b0bd11d70bc209ab03fb19e628040232cba72b231e6a887a4b82035bbc31a", "verify 14 --json"),
+    ("9fb2f9624657deeb381264cfbc7943ad9b62087fccc43e1295ed5f8388818526", "hasse 16"),
+    # the largest P DAG within the cap
+    ("a14160211fb7aa2a2e9fc7a9923b3f6aa992293306bbf83fc7502d00231db296", "hasse 14 --poset P"),
+    ("f7222f19f07677d92c4a5456a56793ae2453451884e901e8a900aa587677daa1", "solve phase21 --json"),
+    ("d32e60ec364ffcfce9a525e3e25c282ef6b58498d1c9c0be2481a11982039db1", "solve gap18 --json"),
+    ("0a1d3d114632272b15de4b54027f177933b0d4e6e3eafd2589c52d71739b8ac5", "solve dup16 --json"),
+    ("bc92951b5a98f9c9044e03bc384ee6b7332e1c5d637fe812c2362cacb57df6b3", "solve b63_17 --json"),
+    ("7cfede324634c9fd06c1e6fe37a26cb9edf72b454f934e62073fbb275a762489", "solve small10 --json"),
+    ("a331076eb0a11e4e56f1db1f5b103efe80958a6ccfb9700e582a85cf9e09e100", "solve stop20 --json"),
+    ("a51521ce9d64eb5e5aa2ccc9415987b1735f333463b5bfa5a93f522927b0e8d3", "solve gap17 --json"),
+    ("d3a17ad17da75b6844dad17fa36b0f530174ea472e297c0d9d61c1635305ce41", "solve walk11 --json"),
+    # dp on its own, with the smallest mask of delta +v* it backtracks to
+    ("fcfbfa98c867b860471cdabc298679de0060842917ee983dabe072f14c96801e",
+     "solve gap18 --algo dp --json"),
+    # meet in the middle, with brute's subset and delta
+    ("a52f1351af14bffe8b921e0482f34253f15ad6d7eac258b56f8a794ba93405a3",
+     "solve phase21 --algo mitm --json"),
+    ("2070e9a12ea599ed71bd2c75d5dcb093a4acf143b3a19f249cd4a57f277096ed", "solve mitm30 --json"),
+]
+
+
+@pytest.mark.parametrize("sha, args", CLI_SHA256, ids=[args for _, args in CLI_SHA256])
+def test_cli_process_golden(tmp_path, sha, args):
+    argv = []
+    for arg in args.split():
+        if arg in PIN_FILES:
+            arg = write(tmp_path, PIN_FILES[arg] + "\n", arg + ".txt")
+        argv.append(arg)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-m", "partition_posets", *argv], env=env,
+                         capture_output=True, check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == sha

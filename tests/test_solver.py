@@ -646,6 +646,26 @@ def test_delta_table_is_exact_near_2_62():
         assert _delta_table(c).tolist() == oracles.signed_sums(c), c
 
 
+def test_meet_matches_outer_sums():
+    # small sums give ties; a high sum hd below -6 puts every low sum below
+    # -hd, so that row's first index is len(keys) and its nearest is clipped
+    rng = np.random.default_rng(21)
+    clipped = 0
+    for _ in range(300):
+        lows = rng.integers(-6, 7, rng.integers(1, 9))
+        highs = rng.integers(-14, 15, rng.integers(1, 9))
+        keys, first, nearest = solver._meet(lows, highs)
+        assert (np.diff(keys) >= 0).all() and sorted(keys) == sorted(lows)
+        sums = np.add.outer(highs, lows)  # row t: lows + highs[t]
+        assert first.tolist() == (sums < 0).sum(axis=1).tolist()
+        for t, row in enumerate(sums):
+            if (row >= 0).any():
+                assert nearest[t] == row[row >= 0].min()
+            else:
+                clipped += 1
+    assert clipped > 0
+
+
 def test_mitm_examples_and_guard():
     sol = solve_mitm(inst_of(4, 3, 2, 1))
     assert (sol.subset.indices, sol.delta, sol.algorithm) == ((1, 4), 0, "mitm")
