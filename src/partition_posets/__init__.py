@@ -6,8 +6,9 @@ their structural properties exactly, and solves the optimization version of
 the partition problem through candidate reduction over that subposet.
 
 The names from ``poset``, whose module imports numpy, are loaded on first
-access, so importing the package, solving with a certificate or the DP, and
-counting rank profiles do not import numpy.
+access.  The Q(n) table comes from ``core`` as bytes, so importing the
+package, solving with a certificate, the DP or a DP-sized ``pruned`` call,
+and counting rank profiles do not import numpy.
 """
 
 from types import ModuleType as _ModuleType

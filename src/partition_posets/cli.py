@@ -22,8 +22,9 @@ from .errors import EmptyInput, ParseError, PartitionPosetsError, UnknownCheck
 if TYPE_CHECKING:
     from .poset import HasseDag
 
-# .poset and numpy are imported by the commands that build tables (hasse,
-# verify, and profile's DAG cross-check), so solve and profile start without them
+# .poset and numpy are imported by the commands that build numpy tables
+# (hasse, verify, and profile's DAG cross-check), so solve and profile start
+# without them; solve imports numpy only for its delta tables and half sums
 
 
 def read_instance_file(path: str) -> list[int]:

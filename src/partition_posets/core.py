@@ -6,10 +6,11 @@ that vector with the instance weights.  The order compares running sums
 componentwise, so comparability of two vectors decides the inequality of their
 differences for every weight vector at once.
 
-The poset kinds, the classification of one vector among them, the two cover
-operator families as bitmask moves and the masks of Q(n)'s extremal elements
-live here too: they are pure Python, so the certificate solvers and the
-counting layer need none of the numpy tables in ``poset``.
+The poset kinds, the classification of one vector among them and of all
+2**n masks at once (the membership tables), the two cover operator families
+as bitmask moves and the masks of Q(n)'s extremal elements live here too:
+they are pure Python, so the solvers and the counting layer need no numpy
+to read them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import EmptyInput, LengthMismatch, NegativeValue, Overflow, TooLarge
+from .errors import EmptyInput, LengthMismatch, NegativeValue, Overflow, TooLarge, TooSmall
 
 MAX_N = 64
 """Vector lengths are capped by the bitmask encoding."""
@@ -236,6 +237,39 @@ def membership(v: SignVector) -> PosetKind:
     if max(ps) <= 0:
         return PosetKind.R_MINUS
     return PosetKind.Q
+
+
+TABLE_MAX_N = 24
+"""Membership tables hold one byte per mask, so they stop at 2**24 bytes."""
+
+# A table state is one byte: the running sum plus 32 in bits 0-5, bit 6 set
+# once it went negative, bit 7 once it went positive.  The step tables map
+# every byte, reachable or not, to the state after one more entry -1 or +1.
+_DOWN, _UP = (bytes(s & 192 | (s + d) & 63 | 64 * ((s & 63) + d < 32) | 128 * ((s & 63) + d > 32)
+                    for s in range(256)) for d in (-1, 1))
+_PICK = {PosetKind.Q: bytes(s >= 192 for s in range(256)),  # went both ways
+         PosetKind.R_PLUS: bytes(not s & 64 for s in range(256)),
+         PosetKind.R_MINUS: bytes(not s & 128 for s in range(256))}
+
+
+@lru_cache(maxsize=None)
+def membership_table(n: int, kind: PosetKind) -> bytes:
+    """One byte per mask of P(n), 1 exactly for the members of ``kind``
+    (Q, R+ or R-): ``membership`` of all 2**n masks at once, cached.
+
+    Masks m and m | 2**(n-1) share their first n - 1 entries, so the states
+    of P(n) are those of P(n - 1) stepped down, then up: one
+    ``bytes.translate`` each.  The last doubling also picks the kind."""
+    if kind not in _PICK:
+        raise ValueError("membership tables exist for kinds Q, R+ and R-")
+    if not 1 <= n <= TABLE_MAX_N:
+        raise (TooSmall("n must be at least 1") if n < 1 else
+               TooLarge(f"membership tables stop at n = {TABLE_MAX_N}"))
+    states = bytes([32])  # running sum 0
+    for _ in range(n - 1):
+        states = states.translate(_DOWN) + states.translate(_UP)
+    pick = _PICK[kind]
+    return states.translate(_DOWN.translate(pick)) + states.translate(_UP.translate(pick))
 
 
 @lru_cache(maxsize=None)

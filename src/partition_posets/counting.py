@@ -64,46 +64,47 @@ def _unpack(packed: int, length: int) -> tuple[int, ...]:
 class _ProfileCache:
     """Incrementally extended packed DP state shared by the profile functions.
 
-    ``p[n]`` packs P(n) by P-rank and ``rminus[n]`` packs R-(n) by P-rank (R+
-    read backwards) for every n computed so far.  ``ballot[u]`` packs the
-    newest step's nonnegative paths with u up-steps over the key (sum of up
-    positions) - u(u+1)/2; the offset u(u+1)/2, the least sum, does not depend
-    on the step, so a path that keeps its u after a down-step (only when
-    2u >= n) keeps its key, an up-step at position n adds n - u - 1 to it, and
-    each int holds only its u(n-u)+1 live slots.  ``counts[n]`` holds the
-    unpacked (P(n), R+(n)) tuples of every n a caller asked for.
+    ``p[n]`` packs P(n) by P-rank for every n computed so far.
+    ``ballot[u]`` packs the nonnegative paths of ``steps`` steps with u
+    up-steps over the key (sum of up positions) - u(u+1)/2; the offset
+    u(u+1)/2, the least sum, does not depend on the step, so a path that
+    keeps its u after a down-step (only when 2u >= n) keeps its key, an
+    up-step at position n adds n - u - 1 to it, and each int holds only its
+    u(n-u)+1 live slots.  R-(n) is packed from the ballot only at an n a
+    caller asks for; one below ``steps`` walks the ballot again from 0.
+    ``counts[n]`` holds the unpacked (P(n), R+(n)) tuples of those n.
     """
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.p = [1]
-        self.rminus = [1]
         self.ballot = [1]
+        self.steps = 0
         self.counts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
-    def profiles(self, n_target: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(P(n), R+(n)) counts by P-rank for n = n_target, extending as needed."""
+    def profiles(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(P(n), R+(n)) counts by P-rank, extending the state as needed."""
         with self.lock:
-            while len(self.p) <= n_target:
-                n = len(self.p)
+            if n in self.counts:
+                return self.counts[n]
+            while len(self.p) <= n:
                 x = self.p[-1]
-                self.p.append(x + (x << _SLOT * n))
-                nxt = [0] * (n + 1)
-                for u in range(n // 2, n):
-                    if 2 * u >= n:
+                self.p.append(x + (x << _SLOT * len(self.p)))
+            if self.steps > n:
+                self.ballot, self.steps = [1], 0
+            for m in range(self.steps + 1, n + 1):  # step m of the walk
+                nxt = [0] * (m + 1)
+                for u in range(m // 2, m):
+                    if 2 * u >= m:
                         nxt[u] += self.ballot[u]
-                    nxt[u + 1] += self.ballot[u] << _SLOT * (n - u - 1)
-                self.ballot = nxt
-                # rank (n+1)u - u(u+1)/2 - key lands in R- slot r - rank
-                r = n * (n + 1) // 2
-                self.rminus.append(sum(
-                    nxt[u] << _SLOT * (r - (n + 1) * u + u * (u + 1) // 2)
-                    for u in range((n + 1) // 2, n + 1)))
-            if n_target not in self.counts:
-                length = n_target * (n_target + 1) // 2 + 1
-                rminus = _unpack(self.rminus[n_target], length)
-                self.counts[n_target] = (_unpack(self.p[n_target], length), rminus[::-1])
-            return self.counts[n_target]
+                    nxt[u + 1] += self.ballot[u] << _SLOT * (m - u - 1)
+                self.ballot, self.steps = nxt, m
+            # rank (n+1)u - u(u+1)/2 - key lands in R- slot r - rank
+            r = n * (n + 1) // 2
+            rminus = sum(self.ballot[u] << _SLOT * (r - (n + 1) * u + u * (u + 1) // 2)
+                         for u in range((n + 1) // 2, n + 1))
+            counts = self.counts[n] = _unpack(self.p[n], r + 1), _unpack(rminus, r + 1)[::-1]
+            return counts
 
 
 _CACHE = _ProfileCache()

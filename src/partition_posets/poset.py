@@ -26,10 +26,12 @@ from .core import (  # PosetKind, membership and the extremal masks are re-expor
     PosetKind,
     SignVector,
     SubsetRef,
+    TABLE_MAX_N,
     cover_moves,
     leq,
     max_element_mask,
     membership,
+    membership_table,
     min_element_mask,
     negate,
     prefix_sums,
@@ -46,7 +48,6 @@ from .errors import (
 
 ENUM_MAX_N = 24
 DAG_MAX_N = {"P": 14, "Q": 16}
-_TABLE_MAX_N = 24  # vectorized membership tables built up to here
 _PROFILE_ENUM_MAX_N = 14  # the profiles check also enumerates R+ and Q up to here
 
 
@@ -54,42 +55,10 @@ _PROFILE_ENUM_MAX_N = 14  # the profiles check also enumerates R+ and Q up to he
 # membership and rank
 
 
-def _half_minima(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Final sum and min running sum over all 2**n masks (int8 arrays); the
-    minimum of the empty prefix is a sentinel that any step overwrites."""
-    s = np.zeros(1, dtype=np.int8)
-    mn = np.full(1, 127, dtype=np.int8)
-    for _ in range(n):
-        lo, hi = s - 1, s + 1
-        mn = np.concatenate([np.minimum(mn, lo), np.minimum(mn, hi)])
-        s = np.concatenate([lo, hi])
-    return s, mn
-
-
-def _prefix_minima(n: int) -> np.ndarray:
-    """Per-mask min running sum over all 2**n masks (an int8 array).
-
-    Mask ``hi << h | lo`` runs through the low half's sums, then the high
-    half's shifted by the low half's final sum, so the minimum is an outer
-    combination of two 2**(n/2) tables.  The max running sum needs no table
-    of its own: negation maps mask m to 2**n - 1 - m and every running sum
-    to its negative, so the max of m is minus the reversed table's entry m.
-    """
-    if n > _TABLE_MAX_N:
-        raise TooLarge(f"membership tables stop at n = {_TABLE_MAX_N}")
-    h = n // 2
-    s_lo, mn_lo = _half_minima(h)
-    _, mn_hi = _half_minima(n - h)
-    return np.minimum(mn_lo[None, :], s_lo[None, :] + mn_hi[:, None]).ravel()
-
-
-@lru_cache(maxsize=None)
 def q_membership_table(n: int) -> np.ndarray:
-    """Boolean array over all masks: True exactly for members of Q(n)."""
-    mn = _prefix_minima(n)
-    table = np.maximum(mn, mn[::-1]) < 0  # mn < 0 and the max, -mn[::-1], > 0
-    table.setflags(write=False)
-    return table
+    """Boolean array over all masks, True exactly for members of Q(n): a
+    read-only view of ``core.membership_table``'s cached bytes."""
+    return np.frombuffer(membership_table(n, PosetKind.Q), dtype=bool)
 
 
 def rank(v: SignVector, kind: PosetKind = PosetKind.P) -> int:
@@ -225,12 +194,7 @@ def iter_poset(n: int, kind: PosetKind, *, force: bool = False) -> Iterator[Sign
         for mask in range(1 << n):
             yield SignVector(n, mask)
         return
-    if kind is PosetKind.Q:
-        sel = q_membership_table(n)
-    else:
-        mn = _prefix_minima(n)
-        sel = mn >= 0 if kind is PosetKind.R_PLUS else mn[::-1] >= 0
-    for mask in np.flatnonzero(sel):
+    for mask in np.flatnonzero(np.frombuffer(membership_table(n, kind), dtype=bool)):
         yield SignVector(n, int(mask))
 
 
@@ -281,8 +245,8 @@ def build_hasse(n: int, kind: PosetKind, *, force: bool = False) -> HasseDag:
     if kind not in (PosetKind.P, PosetKind.Q):
         raise ValueError("Hasse DAGs are built for kinds P and Q")
     _check_size(n, DAG_MAX_N[kind.value], f"{kind.value}({n}) DAG", force)
-    if n > _TABLE_MAX_N:
-        raise TooLarge(f"DAGs are built from membership tables, which stop at n = {_TABLE_MAX_N}")
+    if n > TABLE_MAX_N:
+        raise TooLarge(f"DAGs are built from membership tables, which stop at n = {TABLE_MAX_N}")
     member = q_membership_table(n) if kind is PosetKind.Q else np.ones(1 << n, dtype=bool)
     masks = np.flatnonzero(member)
     index = np.cumsum(member) - 1  # node index of each member mask
@@ -631,14 +595,11 @@ def _check_profiles(n: int) -> CheckResult:
         return CheckResult("profiles", False, detail="Q size mismatch")
     if n <= _PROFILE_ENUM_MAX_N:
         ranks = _mask_ranks(np.arange(1 << n), n)
-        rphist = np.bincount(ranks[_prefix_minima(n) >= 0], minlength=r + 1)
-        if tuple(rphist.tolist()) != rp.counts:
-            return CheckResult("profiles", False,
-                               detail="R+ profile disagrees with enumeration")
-        qhist = np.bincount(ranks[q_membership_table(n)] - n, minlength=len(q.counts))
-        if tuple(qhist.tolist()) != q.counts and q.counts:
-            return CheckResult("profiles", False,
-                               detail="Q profile disagrees with enumeration")
+        for kind, counts in ((PosetKind.R_PLUS, rp.counts), (PosetKind.Q, padded)):
+            member = np.frombuffer(membership_table(n, kind), dtype=bool)
+            if np.bincount(ranks[member], minlength=r + 1).tolist() != list(counts):
+                return CheckResult("profiles", False,
+                                   detail=f"{kind.value} profile disagrees with enumeration")
     return CheckResult("profiles", True)
 
 

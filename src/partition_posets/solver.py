@@ -18,10 +18,12 @@ from typing import TYPE_CHECKING
 
 from .core import (
     Instance,
+    PosetKind,
     SubsetRef,
     cover_moves,
     max_element_mask,
     membership,  # not called here: bench/tracing.py wraps solver.membership
+    membership_table,
     min_element_mask,
 )
 from .counting import q_size
@@ -30,8 +32,8 @@ from .errors import TooLarge, TooSmall, UnknownAlgorithm
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy and the Q tables in .poset are imported inside the functions that
-# build or read 2**n tables, so the certificates and the DP start without them
+# numpy is imported inside the functions that build delta tables or search
+# half sums; core's Q(n) table is bytes, so DP-sized solves run without it
 
 BRUTE_MAX_N = 24
 PRUNED_MAX_N = 24
@@ -125,9 +127,9 @@ def _make_solution(
 # oracles
 
 
-def _scan_blocks(inst: Instance, q_rows: np.ndarray | None = None) -> tuple[int, int, int]:
-    """Smallest |delta| over the first-entry-+1 masks, in Q(n) when ``q_rows``
-    (the Q table as rows of 2**h masks) is given; returns (mask, delta, scanned).
+def _scan_blocks(inst: Instance, q: bytes | None = None) -> tuple[int, int, int]:
+    """Smallest |delta| over the first-entry-+1 masks, in Q(n) when ``q``
+    (the Q(n) membership table) is given; returns (mask, delta, scanned).
 
     With h = min(n, 20), mask ``t << h | lo`` has delta ``lows[lo] + tops[t]``
     (partial sums stay below the total, so int64 is exact).  Blocks are
@@ -140,6 +142,7 @@ def _scan_blocks(inst: Instance, q_rows: np.ndarray | None = None) -> tuple[int,
     lows = _delta_table(inst.c[:h])
     tops = _delta_table(inst.c[h:])  # at most 2**4 entries
     odd = np.arange(1, 1 << h, 2)
+    q_rows = None if q is None else np.frombuffer(q, dtype=bool).reshape(-1, 1 << h)
     best_mask, best_delta = 0, inst.total + 1  # above every |delta|
     scanned = 0
     for t, top in enumerate(tops.tolist()):
@@ -166,12 +169,16 @@ def solve_brute(inst: Instance) -> Solution:
     return _make_solution(inst, mask, d, "brute", scanned)
 
 
-def _dp_optimum(inst: Instance) -> tuple[int, int]:
-    """``solve_dp``'s (mask, delta), without its size check."""
+def _subset_sums(c: tuple[int, ...]) -> list[int]:
+    """Bitsets of reachable sums: bit s of entry i is set when some subset
+    of c[:i] sums to s."""
+    return list(accumulate(c, lambda bits, ci: bits | bits << ci, initial=1))
+
+
+def _dp_optimum(inst: Instance, snapshots: list[int]) -> tuple[int, int]:
+    """``solve_dp``'s (mask, delta) from ``_subset_sums(inst.c)``, without
+    its size check."""
     c, total = inst.c, inst.total
-    snapshots = [1]  # bit s of snapshots[i]: some subset of c[:i] sums to s
-    for ci in c:
-        snapshots.append(snapshots[-1] | snapshots[-1] << ci)
     half = (total + 1) // 2
     rest = snapshots[-1] >> half  # never 0: the total itself is reachable
     s = chosen = half + (rest & -rest).bit_length() - 1
@@ -197,7 +204,7 @@ def solve_dp(inst: Instance) -> Solution:
     cells = inst.n * (inst.total + 1)
     if cells > DP_MAX_CELLS:
         raise TooLarge(f"DP table would exceed {DP_MAX_CELLS} cells")
-    return _make_solution(inst, *_dp_optimum(inst), "dp", cells)
+    return _make_solution(inst, *_dp_optimum(inst, _subset_sums(inst.c)), "dp", cells)
 
 
 def solve_mitm(inst: Instance) -> Solution:
@@ -249,10 +256,7 @@ def solve_q_enum(inst: Instance) -> Solution:
         raise TooSmall("Q(n) is empty for n < 3")
     if n > BRUTE_MAX_N:
         raise TooLarge(f"enumeration is capped at n = {BRUTE_MAX_N}")
-    from .poset import q_membership_table
-
-    q_rows = q_membership_table(n).reshape(-1, 1 << min(n, _BLOCK_BITS))
-    mask, d, scanned = _scan_blocks(inst, q_rows)
+    mask, d, scanned = _scan_blocks(inst, membership_table(n, PosetKind.Q))
     return _make_solution(inst, mask, d, "qenum", scanned)
 
 
@@ -275,9 +279,10 @@ def solve_pruned(inst: Instance) -> Solution:
     exactly half of it, so ``_full_sweep`` runs first and, when the optimum
     is above the parity, returns the ascent's outcome in closed form.
     Otherwise the optimum is the parity, and the ascent runs until it records
-    a node of that delta.  It copies the cached 2**n-byte Q(n) table (16 MB
-    at n = 24) into a bytearray whose nonzero entries are the Q members not
-    reached yet, so one index answers both membership and the seen-set test.
+    a node of that delta.  It copies ``core.membership_table``'s cached
+    2**n-byte Q(n) table (16 MB at n = 24) into a bytearray whose nonzero
+    entries are the Q members not reached yet, so one index answers both
+    membership and the seen-set test.
     """
     n = inst.n
     if n < 3:
@@ -301,9 +306,7 @@ def solve_pruned(inst: Instance) -> Solution:
     # gain, so its key is the parent's plus a constant step per cover.
     add_step = top_bit - (2 * c[n - 1] << n)
     swap_step = {1 << i: -(1 << i) - (2 * (c[i] - c[i + 1]) << n) for i in range(n - 1)}
-    from .poset import q_membership_table
-
-    fresh = bytearray(q_membership_table(n))  # in Q(n) and not reached yet
+    fresh = bytearray(membership_table(n, PosetKind.Q))  # in Q(n) and not reached yet
     visited = 0
     heap: list[int] = []
     push, pop = heapq.heappush, heapq.heappop
@@ -362,9 +365,9 @@ def _negative_lower_covers(c: tuple[int, ...]) -> list[tuple[int, int]]:
             if weight[(flip ^ low).bit_length()] > weight[low.bit_length()]]
 
 
-def _recorded(w: int, q: memoryview, minimal: list[int], moves: list[tuple[int, int]]) -> bool:
+def _recorded(w: int, q: bytes, minimal: list[int], moves: list[tuple[int, int]]) -> bool:
     """Whether the full ascent records mask w of delta v*: w is in Q(n)
-    (``q``, the Q table as a memoryview) and is minimal or has a lower
+    (``q``, the Q(n) membership table) and is minimal or has a lower
     cover in Q(n) through one of ``moves``, from ``_negative_lower_covers``."""
     return q[w] and (w in minimal or any(w & f == b and q[w ^ f] for f, b in moves))
 
@@ -437,9 +440,10 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     h = n // 2
     halves = None
     if n * (total + 1) <= SWEEP_DP_MAX_CELLS:
-        w, best = _dp_optimum(inst)
-        if best == total & 1:
+        snapshots = _subset_sums(c)
+        if snapshots[-1] >> (total + 1) // 2 & 1:  # v* is the parity: no backtrack
             return None
+        w, best = _dp_optimum(inst, snapshots)
     else:
         halves = lows, highs, keys, i, nearest = _half_sums(c)
         # negating every sign shows that v* is attained with delta +v*,
@@ -454,16 +458,13 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
         # sum(c[h:]) <= total: no int64 overflow.
         t = int((nearest == best).argmax())
         w = t << h | int((lows == best - highs[t]).argmax())
-    # imported after the filter: its parity stops skip the import's cost
-    import numpy as np
-
-    from .poset import q_membership_table
-
-    q = q_membership_table(n)
+    q = membership_table(n, PosetKind.Q)
     minimal = [min_element_mask(n, k) for k in range((n - 1) // 2 + 1)]
     moves = _negative_lower_covers(c)
-    if _recorded(w, memoryview(q), minimal, moves):
+    if _recorded(w, q, minimal, moves):
         return w, best
+    import numpy as np  # the walk, reached only with tied or zero weights
+
     lows, highs, keys, i, nearest = halves or _half_sums(c)
     order = lows.argsort()  # keys == lows[order]; ties in no set order: sorted below
     rows = np.flatnonzero(nearest == best)
@@ -472,6 +473,7 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     # row r's masks are those at sorted indices first[r] .. first[r] + counts[r]
     p = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
     w = np.sort(np.repeat(rows, counts) << h | order[p])
+    q = np.frombuffer(q, dtype=bool)
     return _vectorized_walk(w[q[w]], q, minimal, moves), best
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from partition_posets import (
     Overflow,
     SignVector,
     TooLarge,
+    TooSmall,
     SubsetRef,
     delta,
     diff_vector,
@@ -22,10 +24,12 @@ from partition_posets import (
     negate,
     normalize_instance,
     prefix_sums,
+    q_size,
     to_subset,
 )
 
-from partition_posets.core import cover_moves
+from partition_posets import core
+from partition_posets.core import PosetKind, cover_moves, membership, membership_table
 
 import oracles
 
@@ -150,6 +154,42 @@ def test_cover_moves_give_each_masks_covers_in_ascending_order(n):
     for u in masks:
         got = [u ^ flip for flip, low in cover_moves(n) if u & flip == low]
         assert got == sorted(j for i, j in covers if i == u)
+
+
+_TABLE_KINDS = (PosetKind.Q, PosetKind.R_PLUS, PosetKind.R_MINUS)
+
+
+def test_membership_table_matches_membership():
+    for n in range(1, 13):
+        for kind in _TABLE_KINDS:
+            table = membership_table(n, kind)
+            assert isinstance(table, bytes) and len(table) == 1 << n
+            assert list(table) == [membership(SignVector(n, m)) is kind for m in range(1 << n)]
+    for n in range(1, 21):
+        half = math.comb(n, n // 2)
+        sizes = {kind: membership_table(n, kind).count(1) for kind in _TABLE_KINDS}
+        assert sizes == {PosetKind.Q: q_size(n), PosetKind.R_PLUS: half, PosetKind.R_MINUS: half}
+
+
+def test_membership_table_guards_and_cache():
+    assert membership_table(16, PosetKind.Q) is membership_table(16, PosetKind.Q)
+    with pytest.raises(TooLarge):
+        membership_table(core.TABLE_MAX_N + 1, PosetKind.Q)
+    with pytest.raises(ValueError):
+        membership_table(4, PosetKind.P)
+    with pytest.raises(TooSmall):
+        membership_table(0, PosetKind.Q)
+
+
+def test_q_membership_table_is_a_read_only_view_of_the_core_table():
+    from partition_posets.poset import q_membership_table
+
+    for n in (3, 16):
+        view = q_membership_table(n)
+        assert view.dtype == np.bool_ and not view.flags.writeable
+        assert view.base is membership_table(n, PosetKind.Q)
+        with pytest.raises(ValueError):
+            view[0] = True
 
 
 def test_leq_incomparable_pair():

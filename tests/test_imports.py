@@ -1,8 +1,9 @@
 """Which modules each entry point loads, and the package's lazy namespace.
 
 numpy and ``partition_posets.poset`` are imported only by the paths that
-build or read 2**n tables; the import graph is checked in fresh interpreters,
-since this test process has long since loaded both.
+build numpy tables: DAGs, checks, delta tables and half sums.  The Q(n)
+membership table is pure Python.  The import graph is checked in fresh
+interpreters, since this test process has long since loaded both.
 """
 
 import importlib
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import partition_posets
-from partition_posets import core, poset
+from partition_posets import core, poset, solver
 
 SRC = str(Path(partition_posets.__file__).resolve().parent.parent)
 TABLE_MODULES = ["numpy", "partition_posets.poset"]
@@ -80,11 +81,27 @@ def test_certificate_and_dp_solves_load_no_tables(tmp_path, weights, algo):
     assert loaded == []
 
 
+@pytest.mark.parametrize("weights, abs_delta", [
+    ([6, 5, 4, 3, 3, 1], 0),  # the parity stop: the DP bitset reaches total/2
+    ([13, 8, 5, 3, 1], 2),  # the closed form's first candidate is recorded
+])
+def test_dp_sized_pruned_solves_load_no_tables(tmp_path, weights, abs_delta):
+    # the Q(n) table is core's bytes, so pruned needs numpy only for the
+    # half-sum kernel and the tie/zero walk
+    loaded, out = _probe(*_solve_argv(tmp_path, weights))
+    result = json.loads(out)
+    assert (result["algo"], result["abs_delta"], loaded) == ("pruned", abs_delta, [])
+
+
 def test_table_commands_load_numpy_and_poset(tmp_path):
     loaded, out = _probe("hasse", "5")
     assert out.startswith('digraph "Q5"') and loaded == TABLE_MODULES
-    loaded, out = _probe(*_solve_argv(tmp_path, [6, 5, 4, 3, 3, 1]))
-    assert json.loads(out)["algo"] == "pruned" and loaded == TABLE_MODULES
+    # beyond SWEEP_DP_MAX_CELLS, v* comes from the half-sum kernel
+    weights = [13 * 10**6, 8 * 10**6, 5 * 10**6, 3 * 10**6, 10**6]
+    assert len(weights) * (sum(weights) + 1) > solver.SWEEP_DP_MAX_CELLS
+    loaded, out = _probe(*_solve_argv(tmp_path, weights))
+    result = json.loads(out)
+    assert (result["algo"], result["abs_delta"], loaded) == ("pruned", 2 * 10**6, ["numpy"])
 
 
 # ---------------------------------------------------------------------------
