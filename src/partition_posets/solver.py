@@ -276,26 +276,23 @@ def solve_pruned(inst: Instance) -> Solution:
     pops plus nonnegative minimal elements.
 
     Without the parity stop the ascent pops every negative element of Q(n),
-    exactly half of it, so ``_full_sweep`` runs first and, when the optimum
-    is above the parity, returns the ascent's outcome in closed form.
-    Otherwise the optimum is the parity, and the ascent runs until it records
-    a node of that delta.  It copies ``core.membership_table``'s cached
-    2**n-byte Q(n) table (16 MB at n = 24) into a bytearray whose nonzero
-    entries are the Q members not reached yet, so one index answers both
-    membership and the seen-set test.
+    exactly half of it, so ``_solve_closed_form`` (all that "auto" runs)
+    answers first when the optimum is above the parity.  Otherwise the
+    ascent runs until it records a node of the parity's delta.  It copies
+    ``core.membership_table``'s cached 2**n-byte Q(n) table (16 MB at
+    n = 24) into a bytearray whose nonzero entries are the Q members not
+    reached yet, so one index answers both membership and the seen-set test.
     """
     n = inst.n
     if n < 3:
         raise TooSmall("Q(n) is empty for n < 3")
     if n > PRUNED_MAX_N:
         raise TooLarge(f"pruned search is capped at n = {PRUNED_MAX_N}")
+    sol = _solve_closed_form(inst)
+    if sol is not None:
+        return sol
     c = inst.c
     minimal_deltas = _minimal_deltas(inst)
-    swept = _full_sweep(inst)
-    if swept is not None:
-        # v* is above the parity, so no minimal element stops the ascent
-        nonneg_minimal = sum(d >= 0 for d in minimal_deltas)
-        return _make_solution(inst, *swept, "pruned", q_size(n) // 2 + nonneg_minimal)
     parity = inst.total & 1
     full = (1 << n) - 1
     top_bit = 1 << (n - 1)
@@ -348,6 +345,17 @@ def solve_pruned(inst: Instance) -> Solution:
                 elif -(wkey >> n) == parity:
                     return _make_solution(inst, w, parity, "pruned", visited)
     raise AssertionError("the ascent ended without its parity stop")
+
+
+def _solve_closed_form(inst: Instance) -> Solution | None:
+    """``solve_pruned``'s answer when v* is above the parity, from
+    ``_full_sweep`` with no ascent; None when the parity stop will fire."""
+    swept = _full_sweep(inst)
+    if swept is None:
+        return None
+    # v* is above the parity, so no minimal element stops the ascent
+    nonneg_minimal = sum(d >= 0 for d in _minimal_deltas(inst))
+    return _make_solution(inst, *swept, "pruned", q_size(inst.n) // 2 + nonneg_minimal)
 
 
 def _negative_lower_covers(c: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -531,8 +539,9 @@ ALGORITHMS = (*_SOLVERS, "auto")
 
 def solve(inst: Instance, algo: str = "auto") -> Solution | None:
     """Run the named algorithm; "auto" tries the fast paths, then the pruned
-    search for 3 <= n <= PRUNED_MAX_N, then the DP oracle when its table has
-    at most DP_MAX_CELLS cells, then the meet in the middle up to n = 44.
+    search's closed form (never its ascent) for 3 <= n <= PRUNED_MAX_N, then
+    the DP oracle when its table has at most DP_MAX_CELLS cells, then the
+    meet in the middle up to n = 44.
 
     Only "minfast" and "corollary" may return None (no certificate applies).
     So "auto" is exact at every n up to 44; above it, an instance that no
@@ -546,10 +555,10 @@ def solve(inst: Instance, algo: str = "auto") -> Solution | None:
     # by module name, not through _SOLVERS, so wrappers of these attributes see the calls
     if inst.n >= 3:
         sol = solve_min_fastpath(inst) or solve_corollary(inst)
+        if sol is None and inst.n <= PRUNED_MAX_N:
+            sol = _solve_closed_form(inst)
         if sol is not None:
             return sol
-        if inst.n <= PRUNED_MAX_N:
-            return solve_pruned(inst)
     if inst.n * (inst.total + 1) <= DP_MAX_CELLS:
         return solve_dp(inst)
     try:

@@ -357,8 +357,9 @@ PIN_FILES = {
     "gap18": "40 55 50 60 10 40 40 30 0 40 75 0 75 95 0 80 20 45",
     # kernel-path instances, whose weights are beyond the DP filter, so the
     # check runs before the ascent: a perfect instance at n = 16 (duplicated
-    # 40-bit halves; the check returns None, the ascent stops after 750 pops)
-    # and a 63-bit non-perfect instance at n = 17
+    # 40-bit halves; the check returns None, the ascent stops after 750 pops,
+    # and auto answers with the meet in the middle) and a 63-bit non-perfect
+    # instance at n = 17
     "dup16": "1011707717353 660637959597 550786322915 898159780889 1011707717353 "
              "1033311238886 1089925756095 863764036341 1033311238886 638293147116 "
              "550786322915 660637959597 1089925756095 638293147116 898159780889 "
@@ -369,7 +370,8 @@ PIN_FILES = {
               "440097317293017744 414945544980669160 304839485550902692 417223620850196009 "
               "487490739131359683",
     # small totals, within the DP filter: a non-perfect instance at n = 10
-    # (closed form) and a perfect one at n = 20 (parity stop after 344 pops)
+    # (closed form) and a perfect one at n = 20 (parity stop after 344 pops;
+    # auto answers with the DP)
     "small10": "988 213 11 533 753 37 161 934 244 17",
     "stop20": "155 459 675 522 246 978 152 493 973 530 123 670 248 811 221 404 438 226 629 293",
     # the closed form's fallback: a parity-gap instance at n = 17 whose
@@ -398,10 +400,15 @@ CLI_SHA256 = [
     ("a14160211fb7aa2a2e9fc7a9923b3f6aa992293306bbf83fc7502d00231db296", "hasse 14 --poset P"),
     ("f7222f19f07677d92c4a5456a56793ae2453451884e901e8a900aa587677daa1", "solve phase21 --json"),
     ("d32e60ec364ffcfce9a525e3e25c282ef6b58498d1c9c0be2481a11982039db1", "solve gap18 --json"),
-    ("0a1d3d114632272b15de4b54027f177933b0d4e6e3eafd2589c52d71739b8ac5", "solve dup16 --json"),
+    # parity stops: pruned runs its ascent, auto skips it for mitm and dp
+    ("0a1d3d114632272b15de4b54027f177933b0d4e6e3eafd2589c52d71739b8ac5",
+     "solve dup16 --algo pruned --json"),
+    ("7c9204fd01c71a10c3e7524d2a64f4ee2ab7321ca79caeec6eed54593cd0b3e2", "solve dup16 --json"),
+    ("a331076eb0a11e4e56f1db1f5b103efe80958a6ccfb9700e582a85cf9e09e100",
+     "solve stop20 --algo pruned --json"),
+    ("42f18fd1ed55efbb4e0053c2619913bb8d4b07ba418998215e02f9a1d27f03f6", "solve stop20 --json"),
     ("bc92951b5a98f9c9044e03bc384ee6b7332e1c5d637fe812c2362cacb57df6b3", "solve b63_17 --json"),
     ("7cfede324634c9fd06c1e6fe37a26cb9edf72b454f934e62073fbb275a762489", "solve small10 --json"),
-    ("a331076eb0a11e4e56f1db1f5b103efe80958a6ccfb9700e582a85cf9e09e100", "solve stop20 --json"),
     ("a51521ce9d64eb5e5aa2ccc9415987b1735f333463b5bfa5a93f522927b0e8d3", "solve gap17 --json"),
     ("d3a17ad17da75b6844dad17fa36b0f530174ea472e297c0d9d61c1635305ce41", "solve walk11 --json"),
     # dp on its own, with the smallest mask of delta +v* it backtracks to

@@ -54,10 +54,10 @@ def _probe(*argv: str) -> tuple[list[str], str]:
     return result["loaded"]["main"], result["out"]
 
 
-def _solve_argv(tmp_path, weights) -> list[str]:
+def _solve_argv(tmp_path, weights, *options: str) -> list[str]:
     path = tmp_path / "instance.txt"
     path.write_text(" ".join(map(str, weights)) + "\n")
-    return ["solve", str(path), "--json"]
+    return ["solve", str(path), *options, "--json"]
 
 
 def test_imports_load_no_tables():
@@ -74,6 +74,8 @@ def test_profile_loads_no_tables():
     ([10, 3, 2, 1], "minfast"),
     ([10, 6, 5, 2], "corollary"),
     (list(range(1, 31)), "dp"),
+    ([6, 5, 4, 3, 3, 1], "dp"),  # a parity stop for pruned: auto skips its ascent
+    ([13, 8, 5, 3, 1], "pruned"),  # pruned's closed form: the first candidate
 ])
 def test_certificate_and_dp_solves_load_no_tables(tmp_path, weights, algo):
     loaded, out = _probe(*_solve_argv(tmp_path, weights))
@@ -87,8 +89,8 @@ def test_certificate_and_dp_solves_load_no_tables(tmp_path, weights, algo):
 ])
 def test_dp_sized_pruned_solves_load_no_tables(tmp_path, weights, abs_delta):
     # the Q(n) table is core's bytes, so pruned needs numpy only for the
-    # half-sum kernel and the tie/zero walk
-    loaded, out = _probe(*_solve_argv(tmp_path, weights))
+    # half-sum kernel and the tie/zero walk; auto never runs the ascent
+    loaded, out = _probe(*_solve_argv(tmp_path, weights, "--algo", "pruned"))
     result = json.loads(out)
     assert (result["algo"], result["abs_delta"], loaded) == ("pruned", abs_delta, [])
 

@@ -744,11 +744,23 @@ def test_auto_falls_back_to_dp_for_tiny_n():
 
 
 def test_auto_reaches_pruned():
-    # neither certificate fires on this instance, so auto runs the ascent
-    inst = inst_of(7, 6, 5, 4, 3, 2, 2)
+    # neither certificate fires on this non-perfect instance, so auto answers
+    # with pruned's closed form
+    inst = inst_of(13, 8, 5, 3, 1)
     sol = solve(inst, "auto")
     assert sol.algorithm == "pruned"
+    assert sol.abs_delta == solve_brute(inst).abs_delta == 2
+
+
+def test_auto_skips_the_parity_stop_ascent():
+    # certificate-free and perfect: pruned would run its ascent to the parity
+    # stop, so auto moves on to the DP; pruned itself still runs the ascent
+    inst = inst_of(7, 6, 5, 4, 3, 2, 2)
+    sol = solve(inst, "auto")
+    assert sol.algorithm == "dp"
     assert sol.abs_delta == solve_brute(inst).abs_delta == 1
+    pruned = solve(inst, "pruned")
+    assert (pruned.algorithm, pruned.abs_delta, pruned.nodes_visited) == ("pruned", 1, 2)
 
 
 def test_auto_too_large_names_both_caps():
@@ -823,6 +835,9 @@ def test_auto_is_exact_property(raw):
     inst = normalize_instance(raw)
     sol = solve(inst)
     assert recompute(raw, sol.subset) == sol.delta and sol.abs_delta == abs(sol.delta)
+    # auto never runs pruned's ascent: a parity-stop answer comes from elsewhere
+    if sol.abs_delta == inst.total % 2:
+        assert sol.algorithm != "pruned", raw
     if inst.n > 18:
         assert sol.abs_delta == oracles.min_abs_delta_halves(raw), raw
         return
