@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from . import counting, solver
 from .core import PosetKind, normalize_instance
-from .errors import EmptyInput, ParseError, PartitionPosetsError, UnknownCheck
+from .errors import EmptyInput, Overflow, ParseError, PartitionPosetsError, UnknownCheck
 
 if TYPE_CHECKING:
     from .poset import HasseDag
@@ -42,7 +42,11 @@ def read_instance_file(path: str) -> list[int]:
         for tok in line.split():
             if not tok.isdigit():
                 raise ParseError(f"not a nonnegative integer: {tok!r}")
-            values.append(int(tok))
+            digits = tok.lstrip("0") or "0"
+            try:
+                values.append(int(digits))
+            except ValueError:  # more digits than int() converts: far past 2**63
+                raise Overflow(f"weight 10**{len(digits) - 1} or more does not fit in 63 bits") from None
     if not values:
         raise EmptyInput(f"no weights found in {path}")
     return values

@@ -131,6 +131,12 @@ class Instance:
         return len(self.c)
 
 
+def _shown(v: int) -> str:
+    """``v``, or past 128 bits a power-of-two bound (str() refuses 4,300 digits)."""
+    k = v.bit_length() - 1
+    return str(v) if k < 128 else f"-2**{k} or less" if v < 0 else f"2**{k} or more"
+
+
 def normalize_instance(raw: Sequence[int]) -> Instance:
     """Sort weights non-increasingly (stable on ties) and record the permutation.
 
@@ -148,9 +154,9 @@ def normalize_instance(raw: Sequence[int]) -> Instance:
     if min(values) < 0 or max(values) >= VALUE_LIMIT:
         for v in values:  # the first offending weight, in input order
             if v < 0:
-                raise NegativeValue(f"weights must be nonnegative, got {v}")
+                raise NegativeValue(f"weights must be nonnegative, got {_shown(v)}")
             if v >= VALUE_LIMIT:
-                raise Overflow(f"weight {v} does not fit in 63 bits")
+                raise Overflow(f"weight {_shown(v)} does not fit in 63 bits")
     total = sum(values)
     if total >= VALUE_LIMIT:
         raise Overflow("total weight does not fit in 63 bits")

@@ -13,12 +13,16 @@ n <= MAX_COUNT_N stays below 2**MAX_COUNT_N, which the slot width is derived
 from, so slots never carry into each other; the n <= 120 guard keeps that
 bound (and runtimes) honest, raising instead of ever producing a wrapped or
 approximate count.
+
+Each profile is an ``lru_cache``d pure function, safe to call concurrently:
+P(n) is packed at the n asked for, and R+(n) is read off the one cached
+ballot walk, which ascending requests extend and a smaller n walks anew.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 from .core import MAX_COUNT_N, PosetKind
@@ -61,55 +65,6 @@ def _unpack(packed: int, length: int) -> tuple[int, ...]:
                   for i in range(0, len(raw), _SLOT_BYTES)])
 
 
-class _ProfileCache:
-    """Incrementally extended packed DP state shared by the profile functions.
-
-    ``p[n]`` packs P(n) by P-rank for every n computed so far.
-    ``ballot[u]`` packs the nonnegative paths of ``steps`` steps with u
-    up-steps over the key (sum of up positions) - u(u+1)/2; the offset
-    u(u+1)/2, the least sum, does not depend on the step, so a path that
-    keeps its u after a down-step (only when 2u >= n) keeps its key, an
-    up-step at position n adds n - u - 1 to it, and each int holds only its
-    u(n-u)+1 live slots.  R-(n) is packed from the ballot only at an n a
-    caller asks for; one below ``steps`` walks the ballot again from 0.
-    ``counts[n]`` holds the unpacked (P(n), R+(n)) tuples of those n.
-    """
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.p = [1]
-        self.ballot = [1]
-        self.steps = 0
-        self.counts: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-    def profiles(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(P(n), R+(n)) counts by P-rank, extending the state as needed."""
-        with self.lock:
-            if n in self.counts:
-                return self.counts[n]
-            while len(self.p) <= n:
-                x = self.p[-1]
-                self.p.append(x + (x << _SLOT * len(self.p)))
-            if self.steps > n:
-                self.ballot, self.steps = [1], 0
-            for m in range(self.steps + 1, n + 1):  # step m of the walk
-                nxt = [0] * (m + 1)
-                for u in range(m // 2, m):
-                    if 2 * u >= m:
-                        nxt[u] += self.ballot[u]
-                    nxt[u + 1] += self.ballot[u] << _SLOT * (m - u - 1)
-                self.ballot, self.steps = nxt, m
-            # rank (n+1)u - u(u+1)/2 - key lands in R- slot r - rank
-            r = n * (n + 1) // 2
-            rminus = sum(self.ballot[u] << _SLOT * (r - (n + 1) * u + u * (u + 1) // 2)
-                         for u in range((n + 1) // 2, n + 1))
-            counts = self.counts[n] = _unpack(self.p[n], r + 1), _unpack(rminus, r + 1)[::-1]
-            return counts
-
-
-_CACHE = _ProfileCache()
-
-
 def _guard(n: int) -> None:
     if n < 1:
         raise TooSmall("n must be at least 1")
@@ -117,19 +72,48 @@ def _guard(n: int) -> None:
         raise TooLarge(f"counting is capped at n = {MAX_COUNT_N}")
 
 
+@functools.lru_cache(maxsize=1)
+def _ballot(steps: int) -> tuple[int, ...]:
+    """Packed nonnegative paths of ``steps`` steps by up-step count u, over
+    the key (sum of up positions) - u(u+1)/2.  The offset, the least sum,
+    does not depend on the step: a down-step (only when 2u >= steps) keeps
+    the key, an up-step at ``steps`` adds steps - u - 1, and entry u holds
+    only its u(steps-u)+1 live slots.  Only the last walk is kept, so
+    ascending requests extend it by one step and a smaller one walks anew."""
+    if steps == 0:
+        return (1,)
+    prev = _ballot(steps - 1)
+    nxt = [0] * (steps + 1)
+    for u in range(steps // 2, steps):
+        if 2 * u >= steps:
+            nxt[u] += prev[u]
+        nxt[u + 1] += prev[u] << _SLOT * (steps - u - 1)
+    return tuple(nxt)
+
+
+@functools.lru_cache(maxsize=None)
 def p_rank_profile(n: int) -> RankProfile:
     """counts[t] = number of subsets of [n] with element sum t."""
     _guard(n)
-    counts = _CACHE.profiles(n)[0]
+    packed = 1
+    for i in range(1, n + 1):
+        packed += packed << _SLOT * i
+    counts = _unpack(packed, n * (n + 1) // 2 + 1)
     if sum(counts) != 1 << n:
         raise AssertionError("profile total disagrees with 2**n")
     return RankProfile(kind=PosetKind.P, n=n, counts=counts)
 
 
+@functools.lru_cache(maxsize=None)
 def rplus_rank_profile(n: int) -> RankProfile:
     """Per-rank counts of vectors whose running sums never go negative."""
     _guard(n)
-    counts = _CACHE.profiles(n)[1]
+    ballot = _ballot(n)
+    # rank (n+1)u - u(u+1)/2 - key lands in R- slot r - rank
+    r = n * (n + 1) // 2
+    rminus = sum(ballot[u] << _SLOT * (r - (n + 1) * u + u * (u + 1) // 2)
+                 for u in range((n + 1) // 2, n + 1))
+    counts = _unpack(rminus, r + 1)[::-1]
     if sum(counts) != math.comb(n, n // 2):
         raise AssertionError("half-space total disagrees with the central binomial")
     return RankProfile(kind=PosetKind.R_PLUS, n=n, counts=counts)

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 from .core import (
     Instance,
     PosetKind,
+    TABLE_MAX_N,
     SubsetRef,
     cover_moves,
     max_element_mask,
@@ -35,8 +36,7 @@ if TYPE_CHECKING:
 # numpy is imported inside the functions that build delta tables or search
 # half sums; core's Q(n) table is bytes, so DP-sized solves run without it
 
-BRUTE_MAX_N = 24
-PRUNED_MAX_N = 24
+BRUTE_MAX_N = 24  # brute's run time; Q(n) solvers stop at core.TABLE_MAX_N
 DP_MAX_CELLS = 10**8
 SWEEP_DP_MAX_CELLS = 1 << 22  # _full_sweep reads v* from the DP bitset up to here
 _BLOCK_BITS = 20  # scans and candidate tests hold 2**20-cell (8 MB) arrays
@@ -254,8 +254,8 @@ def solve_q_enum(inst: Instance) -> Solution:
     n = inst.n
     if n < 3:
         raise TooSmall("Q(n) is empty for n < 3")
-    if n > BRUTE_MAX_N:
-        raise TooLarge(f"enumeration is capped at n = {BRUTE_MAX_N}")
+    if n > TABLE_MAX_N:
+        raise TooLarge(f"enumeration is capped at n = {TABLE_MAX_N}")
     mask, d, scanned = _scan_blocks(inst, membership_table(n, PosetKind.Q))
     return _make_solution(inst, mask, d, "qenum", scanned)
 
@@ -286,8 +286,8 @@ def solve_pruned(inst: Instance) -> Solution:
     n = inst.n
     if n < 3:
         raise TooSmall("Q(n) is empty for n < 3")
-    if n > PRUNED_MAX_N:
-        raise TooLarge(f"pruned search is capped at n = {PRUNED_MAX_N}")
+    if n > TABLE_MAX_N:
+        raise TooLarge(f"pruned search is capped at n = {TABLE_MAX_N}")
     sol = _solve_closed_form(inst)
     if sol is not None:
         return sol
@@ -539,7 +539,7 @@ ALGORITHMS = (*_SOLVERS, "auto")
 
 def solve(inst: Instance, algo: str = "auto") -> Solution | None:
     """Run the named algorithm; "auto" tries the fast paths, then the pruned
-    search's closed form (never its ascent) for 3 <= n <= PRUNED_MAX_N, then
+    search's closed form (never its ascent) for 3 <= n <= TABLE_MAX_N, then
     the DP oracle when its table has at most DP_MAX_CELLS cells, then the
     meet in the middle up to n = 44.
 
@@ -555,7 +555,7 @@ def solve(inst: Instance, algo: str = "auto") -> Solution | None:
     # by module name, not through _SOLVERS, so wrappers of these attributes see the calls
     if inst.n >= 3:
         sol = solve_min_fastpath(inst) or solve_corollary(inst)
-        if sol is None and inst.n <= PRUNED_MAX_N:
+        if sol is None and inst.n <= TABLE_MAX_N:
             sol = _solve_closed_form(inst)
         if sol is not None:
             return sol

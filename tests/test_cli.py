@@ -114,6 +114,15 @@ def test_solve_more_than_64_weights_exits_2(tmp_path, capsys):
         assert "at most 64 weights" in capsys.readouterr().err
 
 
+def test_solve_weight_too_long_to_convert_exits_2(tmp_path, capsys):
+    # int() refuses a 5,000-digit token; leading zeros alone do not count
+    assert main(["solve", write(tmp_path, "1 2 " + "9" * 5000 + "\n")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: weight 10**4999 or more does not fit in 63 bits\n"
+    assert main(["solve", write(tmp_path, "0" * 5000 + "1 2\n"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == 3
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["solve"]) == 2
     assert main(["bogus-command"]) == 2

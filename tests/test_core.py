@@ -92,6 +92,16 @@ def test_normalize_reports_the_first_offending_weight():
     assert str(excinfo.value) == "weights must be nonnegative, got -1"
 
 
+def test_normalize_reports_weights_too_long_to_print():
+    # past 4,300 digits int-to-str conversion raises; the message gives a bound
+    with pytest.raises(Overflow) as excinfo:
+        normalize_instance([10**5000])
+    assert str(excinfo.value) == "weight 2**16609 or more does not fit in 63 bits"
+    with pytest.raises(NegativeValue) as excinfo:
+        normalize_instance([-10**5000])
+    assert str(excinfo.value) == "weights must be nonnegative, got -2**16609 or less"
+
+
 def test_normalize_rejects_more_weights_than_a_bitmask_holds():
     assert normalize_instance(list(range(1, 65))).n == 64
     with pytest.raises(TooLarge):

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from partition_posets import (
+    CheckResult,
     PosetKind,
     TooLarge,
     TooSmall,
@@ -21,6 +22,7 @@ from partition_posets import (
     rank,
     rminus_rank_profile,
     rplus_rank_profile,
+    verify_structure,
     width_value,
 )
 
@@ -217,19 +219,24 @@ def _profiles(n):
     return p_rank_profile(n), rplus_rank_profile(n), q_rank_profile(n)
 
 
+def _clear_caches():
+    for cached in (p_rank_profile, rplus_rank_profile, counting._ballot):
+        cached.cache_clear()
+
+
 @pytest.mark.parametrize("sizes", [range(1, 121), range(120, 0, -1)],
                          ids=["ascending", "120-first"])
-def test_packed_profiles_match_list_dp(monkeypatch, sizes):
-    monkeypatch.setattr(counting, "_CACHE", counting._ProfileCache())
+def test_packed_profiles_match_list_dp(sizes):
+    _clear_caches()
     for n in sizes:
         assert tuple(prof.counts for prof in _profiles(n)) == _reference(n), n
 
 
-def test_profile_cache_is_thread_safe(monkeypatch):
+def test_profile_cache_is_thread_safe():
     sizes = (120, 90, 60, 30)
-    monkeypatch.setattr(counting, "_CACHE", counting._ProfileCache())
+    _clear_caches()
     serial = {n: _profiles(n) for n in sizes}
-    monkeypatch.setattr(counting, "_CACHE", counting._ProfileCache())
+    _clear_caches()
     barrier = threading.Barrier(len(sizes))
     results = {}
 
@@ -249,6 +256,21 @@ def test_profile_cache_is_thread_safe(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == serial
+
+
+def test_p_profile_walks_no_ballot_and_ascent_walks_each_step_once():
+    _clear_caches()
+    p_rank_profile(120)
+    width_value(120)
+    assert counting._ballot.cache_info().misses == 0
+    for n in range(1, 121):
+        rplus_rank_profile(n)
+    assert counting._ballot.cache_info().misses == 121  # steps 0..120
+
+
+def test_profiles_check_at_the_counting_cap():
+    # above n = 14 the check compares the DPs with each other, not enumeration
+    assert verify_structure(counting.MAX_COUNT_N, "profiles") == [CheckResult("profiles", True)]
 
 
 # ---------------------------------------------------------------------------
