@@ -144,7 +144,7 @@ def normalize_instance(raw: Sequence[int]) -> Instance:
     bitmask, and ``Overflow`` for a weight or total of 2**63 or more.
     """
     try:
-        values = [operator.index(v) for v in raw]
+        values = list(map(operator.index, raw))
     except TypeError as exc:
         raise NegativeValue(f"weights must be integers: {exc}") from None
     if not values:
@@ -160,12 +160,9 @@ def normalize_instance(raw: Sequence[int]) -> Instance:
     total = sum(values)
     if total >= VALUE_LIMIT:
         raise Overflow("total weight does not fit in 63 bits")
-    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)  # stable on ties
-    return Instance(
-        c=tuple(values[k] for k in order),
-        perm=tuple(k + 1 for k in order),
-        total=total,
-    )
+    at = [0, *values]  # at[k] is the weight at 1-based position k
+    perm = tuple(sorted(range(1, len(at)), key=at.__getitem__, reverse=True))  # stable on ties
+    return Instance(c=tuple(map(at.__getitem__, perm)), perm=perm, total=total)
 
 
 def from_subset(s: SubsetRef) -> SignVector:
@@ -256,6 +253,7 @@ _DOWN, _UP = (bytes(s & 192 | (s + d) & 63 | 64 * ((s & 63) + d < 32) | 128 * ((
 _PICK = {PosetKind.Q: bytes(s >= 192 for s in range(256)),  # went both ways
          PosetKind.R_PLUS: bytes(not s & 64 for s in range(256)),
          PosetKind.R_MINUS: bytes(not s & 128 for s in range(256))}
+_TOP_BITS = 8  # membership_table composes this many top entries
 
 
 @lru_cache(maxsize=None)
@@ -263,19 +261,25 @@ def membership_table(n: int, kind: PosetKind) -> bytes:
     """One byte per mask of P(n), 1 exactly for the members of ``kind``
     (Q, R+ or R-): ``membership`` of all 2**n masks at once, cached.
 
-    Masks m and m | 2**(n-1) share their first n - 1 entries, so the states
-    of P(n) are those of P(n - 1) stepped down, then up: one
-    ``bytes.translate`` each.  The last doubling also picks the kind."""
+    Masks m and m | 2**(j-1) share their first j - 1 entries, so the states
+    of the low entries double: those of one entry fewer stepped down, then
+    up, one ``bytes.translate`` each.  The top (at most 8) entries are
+    composed instead, with the pick of the kind, into one translate table
+    per top pattern t; row t of the table is the low states translated
+    through table t, and the table is written once, by one join."""
     if kind not in _PICK:
         raise ValueError("membership tables exist for kinds Q, R+ and R-")
     if not 1 <= n <= TABLE_MAX_N:
         raise (TooSmall("n must be at least 1") if n < 1 else
                TooLarge(f"membership tables stop at n = {TABLE_MAX_N}"))
     states = bytes([32])  # running sum 0
-    for _ in range(n - 1):
+    for _ in range(n - _TOP_BITS):
         states = states.translate(_DOWN) + states.translate(_UP)
+    tops = [bytes(range(256))]
+    for _ in range(min(n, _TOP_BITS)):
+        tops = [t.translate(_DOWN) for t in tops] + [t.translate(_UP) for t in tops]
     pick = _PICK[kind]
-    return states.translate(_DOWN.translate(pick)) + states.translate(_UP.translate(pick))
+    return b"".join([states.translate(t.translate(pick)) for t in tops])
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -48,10 +48,12 @@ class Solution:
 
     ``subset`` uses original 1-based input positions.  ``nodes_visited``
     counts candidate evaluations: sign patterns scanned by the enumeration
-    solvers, table cells for the DP oracle, extremal elements tested by the
-    fast paths, half sums built by the meet in the middle.  For the pruned
-    ascent it counts heap pops plus the nonnegative minimal elements; a full
-    sweep answered in closed form counts as its |Q(n)|/2 pops.
+    solvers, extremal elements tested by the fast paths, half sums built by
+    the meet in the middle.  For the DP oracle it is the table size
+    n * (total + 1), not the cells filled: the build stops at the first
+    prefix that reaches ceil(total/2).  For the pruned ascent it counts
+    heap pops plus the nonnegative minimal elements; a full sweep answered
+    in closed form counts as its |Q(n)|/2 pops.
     """
 
     subset: SubsetRef
@@ -105,9 +107,14 @@ def _minimal_deltas(inst: Instance) -> list[int]:
     return [2 * (p[2 * k + 1] - p[k]) - inst.total for k in range((inst.n - 1) // 2 + 1)]
 
 
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _subset_from_mask(inst: Instance, mask: int) -> SubsetRef:
-    original = sorted(inst.perm[i] for i in range(inst.n) if mask >> i & 1)
-    return SubsetRef(tuple(original), inst.n)
+    # bin() writes the mask's bits once, from the top; reversed, as bytes
+    # 0 and 1, character i is bit i, which selects perm[i]
+    bits = bin(mask)[:1:-1].encode().translate(_DIGIT_VALUES)
+    return SubsetRef(tuple(sorted(compress(inst.perm, bits))), inst.n)
 
 
 def _make_solution(
@@ -169,21 +176,33 @@ def solve_brute(inst: Instance) -> Solution:
     return _make_solution(inst, mask, d, "brute", scanned)
 
 
-def _subset_sums(c: tuple[int, ...]) -> list[int]:
+def _subset_sums(inst: Instance) -> list[int]:
     """Bitsets of reachable sums: bit s of entry i is set when some subset
-    of c[:i] sums to s."""
-    return list(accumulate(c, lambda bits, ci: bits | bits << ci, initial=1))
+    of c[:i] sums to s.  The build stops at the first prefix that reaches
+    ceil(total/2), a perfect partition; bits are never lost, so every later
+    entry would hold that bit too.  So fewer than n + 1 entries mean a
+    perfect partition (though all n + 1 may end with one)."""
+    half = (inst.total + 1) // 2
+    bits = 1
+    snapshots = [bits]
+    for ci in inst.c:
+        if bits >> half & 1:
+            break
+        bits |= bits << ci
+        snapshots.append(bits)
+    return snapshots
 
 
 def _dp_optimum(inst: Instance, snapshots: list[int]) -> tuple[int, int]:
-    """``solve_dp``'s (mask, delta) from ``_subset_sums(inst.c)``, without
-    its size check."""
+    """``solve_dp``'s (mask, delta) from ``_subset_sums(inst)``, without its
+    size check.  The backtrack starts at the last bitset built; a weight
+    past it is never taken, as it would not be from the full table."""
     c, total = inst.c, inst.total
     half = (total + 1) // 2
     rest = snapshots[-1] >> half  # never 0: the total itself is reachable
     s = chosen = half + (rest & -rest).bit_length() - 1
     mask = 0
-    for i in range(inst.n - 1, -1, -1):
+    for i in range(len(snapshots) - 2, -1, -1):
         if not snapshots[i] >> s & 1:  # unreachable without item i+1: take it
             mask |= 1 << i
             s -= c[i]
@@ -197,14 +216,17 @@ def solve_dp(inst: Instance) -> Solution:
 
     The complement of a subset summing below total/2 sums as far above it,
     so the smallest reachable sum >= total/2 is the closest to it, and the
-    answer has delta +v* >= 0, the optimum.  The backtrack takes a weight
-    only when the sum is unreachable without it, clearing every high bit it
-    can, so the answer is the smallest bitmask of delta +v*.
+    answer has delta +v* >= 0, the optimum.  The build stops at the first
+    prefix that reaches ceil(total/2), a perfect partition.  The backtrack
+    takes a weight only when the sum is unreachable without it, clearing
+    every high bit it can (and no weight past the stop), so the answer is
+    the smallest bitmask of delta +v*.  ``nodes_visited`` is the table size
+    n * (total + 1), not the cells filled.
     """
     cells = inst.n * (inst.total + 1)
     if cells > DP_MAX_CELLS:
         raise TooLarge(f"DP table would exceed {DP_MAX_CELLS} cells")
-    return _make_solution(inst, *_dp_optimum(inst, _subset_sums(inst.c)), "dp", cells)
+    return _make_solution(inst, *_dp_optimum(inst, _subset_sums(inst)), "dp", cells)
 
 
 def solve_mitm(inst: Instance) -> Solution:
@@ -448,7 +470,7 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     h = n // 2
     halves = None
     if n * (total + 1) <= SWEEP_DP_MAX_CELLS:
-        snapshots = _subset_sums(c)
+        snapshots = _subset_sums(inst)
         if snapshots[-1] >> (total + 1) // 2 & 1:  # v* is the parity: no backtrack
             return None
         w, best = _dp_optimum(inst, snapshots)

@@ -278,6 +278,32 @@ def min_abs_delta_halves(values: list[int]) -> int:
     return best
 
 
+def dp_full_backtrack(values: list[int]) -> tuple[tuple[int, ...], int, int]:
+    """The subset-sum DP over its full table, with no early stop.
+
+    Weights are sorted non-increasingly (stable on ties).  Row i holds, as
+    the bits of an integer, the sums reachable with the first i of them,
+    and all n + 1 rows are built.  The chosen sum is the smallest reachable
+    one >= total / 2; the backtrack, from the last weight to the first,
+    takes weight i only when the sum is unreachable without it.  Returns
+    the subset as sorted 1-based input positions, its delta and the table
+    size n * (total + 1).
+    """
+    n, total = len(values), sum(values)
+    order = sorted(range(n), key=lambda k: -values[k])  # stable on ties
+    rows = [1]
+    for k in order:
+        rows.append(rows[-1] | rows[-1] << values[k])
+    chosen = next(s for s in range((total + 1) // 2, total + 1) if rows[n] >> s & 1)
+    s, taken = chosen, []
+    for i in range(n - 1, -1, -1):
+        if not rows[i] >> s & 1:
+            taken.append(order[i] + 1)
+            s -= values[order[i]]
+    assert s == 0
+    return tuple(sorted(taken)), 2 * chosen - total, n * (total + 1)
+
+
 def dominance(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """Subset dominance on decreasingly sorted index tuples."""
     da = sorted(a, reverse=True)

@@ -390,6 +390,11 @@ PIN_FILES = {
     # the same fallback within the DP filter: an auto -> pruned instance at
     # n = 11 whose first candidate, dp's backtrack, is unrecorded
     "walk11": "15 15 200 40 15 0 200 200 0 200 15",
+    # 48 uniform weights in 0..1000: auto's DP, whose build stops at the 16th
+    # prefix, the first that reaches ceil(total/2)
+    "uni48": "137 582 867 821 782 64 261 120 507 779 460 483 667 388 807 214 96 499 29 914 "
+             "855 399 443 622 780 785 2 712 456 272 738 821 234 605 967 104 923 325 31 22 26 "
+             "665 554 9 961 902 390 702",
     # 30 weights of 40 bits, beyond pruned and the DP: auto's meet in the middle
     "mitm30": "104184211328 826339674379 294813333313 180340570947 14867171083 56876858340 "
               "884408767813 767314907615 880758768747 545561821547 617066411275 943874948300 "
@@ -423,6 +428,10 @@ CLI_SHA256 = [
     # dp on its own, with the smallest mask of delta +v* it backtracks to
     ("fcfbfa98c867b860471cdabc298679de0060842917ee983dabe072f14c96801e",
      "solve gap18 --algo dp --json"),
+    # the DP's early stop, under auto and on its own
+    ("31daaed39e88eb30fb01894067d8bf9bb9e3800e8716e9cdafd135530243a165", "solve uni48 --json"),
+    ("31daaed39e88eb30fb01894067d8bf9bb9e3800e8716e9cdafd135530243a165",
+     "solve uni48 --algo dp --json"),
     # meet in the middle, with brute's subset and delta
     ("a52f1351af14bffe8b921e0482f34253f15ad6d7eac258b56f8a794ba93405a3",
      "solve phase21 --algo mitm --json"),

@@ -181,6 +181,23 @@ def test_membership_table_matches_membership():
         assert sizes == {PosetKind.Q: q_size(n), PosetKind.R_PLUS: half, PosetKind.R_MINUS: half}
 
 
+def _doubled_table(n, kind):
+    # the builder that composing the top entries replaced: every entry
+    # doubled as states, the kind picked in the last doubling
+    states = bytes([32])
+    for _ in range(n - 1):
+        states = states.translate(core._DOWN) + states.translate(core._UP)
+    pick = core._PICK[kind]
+    return states.translate(core._DOWN.translate(pick)) + states.translate(core._UP.translate(pick))
+
+
+def test_membership_table_matches_the_full_doubling():
+    # uncached, so that the test run keeps no 2**24-byte tables
+    for n in range(1, core.TABLE_MAX_N + 1):
+        for kind in _TABLE_KINDS:
+            assert membership_table.__wrapped__(n, kind) == _doubled_table(n, kind), (n, kind)
+
+
 def test_membership_table_guards_and_cache():
     assert membership_table(16, PosetKind.Q) is membership_table(16, PosetKind.Q)
     with pytest.raises(TooLarge):

@@ -4,13 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partition_posets import (
     ALGORITHMS,
     PosetKind,
     SignVector,
+    SubsetRef,
     TooLarge,
     TooSmall,
     UnknownAlgorithm,
@@ -980,3 +981,88 @@ def test_63_bit_boundary_weights():
         assert fn(inst).abs_delta == 2
     sol = solve_min_fastpath(inst)
     assert sol is not None and sol.abs_delta == 2
+
+
+# ---------------------------------------------------------------------------
+# the DP's early stop at ceil(total/2)
+
+
+def _planted_halves(rng, n):
+    # a perfect partition planted by duplication, in a shuffled order
+    half = [rng.randint(0, 1000) for _ in range(n // 2)]
+    raw = half + half + [0] * (n % 2)
+    rng.shuffle(raw)
+    return raw
+
+
+DP_FAMILIES = {
+    "uniform": PRUNED_FAMILIES["uniform"],
+    "planted": _planted_halves,
+    "ties_zeros": PRUNED_FAMILIES["ties_zeros"],
+    "parity_gap": _parity_gap,  # never perfect: every bitset is built
+}
+
+
+def _dp_matches_full_backtrack(raw):
+    # solve_dp, and auto wherever it answers with the DP, report the full
+    # table's subset, delta and table size; returns whether the build stopped
+    inst = normalize_instance(raw)
+    expected = oracles.dp_full_backtrack(raw)
+    sol = solve_dp(inst)
+    assert (sol.subset.indices, sol.delta, sol.nodes_visited) == expected, raw
+    auto = solve(inst)
+    if auto.algorithm == "dp":
+        assert (auto.subset.indices, auto.delta, auto.nodes_visited) == expected, raw
+    return len(solver._subset_sums(inst)) < inst.n + 1
+
+
+def test_dp_early_stop_matches_full_backtrack():
+    rng = random.Random(2024)
+    stopped = {name: 0 for name in DP_FAMILIES}
+    for n in range(1, 65):
+        for name, draw in DP_FAMILIES.items():
+            for _ in range(2):
+                stopped[name] += _dp_matches_full_backtrack(draw(rng, n))
+    # the stop fires on every planted draw and on most others, never on a gap
+    assert stopped["planted"] == 2 * 64 and stopped["parity_gap"] == 0
+    assert min(stopped["uniform"], stopped["ties_zeros"]) > 50
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(DP_FAMILIES)), st.integers(1, 64),
+       st.randoms(use_true_random=False))
+def test_dp_early_stop_matches_full_backtrack_property(family, n, rng):
+    _dp_matches_full_backtrack(DP_FAMILIES[family](rng, n))
+
+
+def test_subset_sums_stop_only_on_a_perfect_draw():
+    rng = random.Random(48)
+    perfect = normalize_instance(DP_FAMILIES["uniform"](rng, 48))
+    assert solve_dp(perfect).abs_delta == perfect.total % 2
+    assert len(solver._subset_sums(perfect)) < 48 + 1
+    gap = normalize_instance(_parity_gap(rng, 48))
+    assert solve_dp(gap).abs_delta > gap.total % 2
+    assert len(solver._subset_sums(gap)) == 48 + 1
+
+
+# ---------------------------------------------------------------------------
+# reporting in input order
+
+
+def _masks(n):
+    # 0, any mask, and masks with the top bit set (bit 63 at n = 64)
+    every = st.integers(0, (1 << n) - 1)
+    return st.one_of(st.just(0), every, every.map(lambda m: m | 1 << (n - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 1000), min_size=n, max_size=n), _masks(n))))
+@example((list(range(64)), 1 << 63))
+@example((list(range(64)), 0))
+def test_subset_from_mask_lists_the_set_bits_positions(case):
+    raw, mask = case
+    inst = normalize_instance(raw)
+    # the generator expression the bin() reading replaced
+    expected = tuple(sorted(inst.perm[i] for i in range(inst.n) if mask >> i & 1))
+    assert solver._subset_from_mask(inst, mask) == SubsetRef(expected, inst.n)
