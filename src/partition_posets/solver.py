@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 
 BRUTE_MAX_N = 24  # brute's run time; Q(n) solvers stop at core.TABLE_MAX_N
 DP_MAX_CELLS = 10**8
-SWEEP_DP_MAX_CELLS = 1 << 22  # _full_sweep reads v* from the DP bitset up to here
+SWEEP_DP_MAX_CELLS = 1 << 22  # the closed form reads v* from the DP bitset up to here
 _BLOCK_BITS = 20  # scans and candidate tests hold 2**20-cell (8 MB) arrays
 
 
@@ -211,7 +211,7 @@ def _dp_optimum(inst: Instance, snapshots: list[int]) -> tuple[int, int]:
     return mask, 2 * chosen - total
 
 
-def solve_dp(inst: Instance) -> Solution:
+def solve_dp(inst: Instance, *, snapshots: list[int] | None = None) -> Solution:
     """Pseudo-polynomial oracle: reachable subset sums as bitsets.
 
     The complement of a subset summing below total/2 sums as far above it,
@@ -221,12 +221,15 @@ def solve_dp(inst: Instance) -> Solution:
     takes a weight only when the sum is unreachable without it, clearing
     every high bit it can (and no weight past the stop), so the answer is
     the smallest bitmask of delta +v*.  ``nodes_visited`` is the table size
-    n * (total + 1), not the cells filled.
+    n * (total + 1), not the cells filled.  ``snapshots`` is
+    ``_subset_sums(inst)`` when the caller has built it already.
     """
     cells = inst.n * (inst.total + 1)
     if cells > DP_MAX_CELLS:
         raise TooLarge(f"DP table would exceed {DP_MAX_CELLS} cells")
-    return _make_solution(inst, *_dp_optimum(inst, _subset_sums(inst)), "dp", cells)
+    if snapshots is None:
+        snapshots = _subset_sums(inst)
+    return _make_solution(inst, *_dp_optimum(inst, snapshots), "dp", cells)
 
 
 def solve_mitm(inst: Instance) -> Solution:
@@ -298,9 +301,10 @@ def solve_pruned(inst: Instance) -> Solution:
     pops plus nonnegative minimal elements.
 
     Without the parity stop the ascent pops every negative element of Q(n),
-    exactly half of it, so ``_solve_closed_form`` (all that "auto" runs)
-    answers first when the optimum is above the parity.  Otherwise the
-    ascent runs until it records a node of the parity's delta.  It copies
+    exactly half of it, so ``_full_sweep`` answers first in closed form
+    when the optimum is above the parity ("auto" runs it only inside the
+    bitset bound, and never the ascent).  Otherwise the ascent runs until
+    it records a node of the parity's delta.  It copies
     ``core.membership_table``'s cached 2**n-byte Q(n) table (16 MB at
     n = 24) into a bytearray whose nonzero entries are the Q members not
     reached yet, so one index answers both membership and the seen-set test.
@@ -310,9 +314,9 @@ def solve_pruned(inst: Instance) -> Solution:
         raise TooSmall("Q(n) is empty for n < 3")
     if n > TABLE_MAX_N:
         raise TooLarge(f"pruned search is capped at n = {TABLE_MAX_N}")
-    sol = _solve_closed_form(inst)
-    if sol is not None:
-        return sol
+    swept = _full_sweep(inst)
+    if swept is not None:
+        return _closed_form_solution(inst, swept)
     c = inst.c
     minimal_deltas = _minimal_deltas(inst)
     parity = inst.total & 1
@@ -369,12 +373,9 @@ def solve_pruned(inst: Instance) -> Solution:
     raise AssertionError("the ascent ended without its parity stop")
 
 
-def _solve_closed_form(inst: Instance) -> Solution | None:
-    """``solve_pruned``'s answer when v* is above the parity, from
-    ``_full_sweep`` with no ascent; None when the parity stop will fire."""
-    swept = _full_sweep(inst)
-    if swept is None:
-        return None
+def _closed_form_solution(inst: Instance, swept: tuple[int, int]) -> Solution:
+    """``solve_pruned``'s answer from ``_full_sweep``'s (mask, delta), with
+    no ascent."""
     # v* is above the parity, so no minimal element stops the ascent
     nonneg_minimal = sum(d >= 0 for d in _minimal_deltas(inst))
     return _make_solution(inst, *swept, "pruned", q_size(inst.n) // 2 + nonneg_minimal)
@@ -437,7 +438,7 @@ def _half_sums(c: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return lows, highs, *_meet(lows, highs)
 
 
-def _full_sweep(inst: Instance) -> tuple[int, int] | None:
+def _full_sweep(inst: Instance, snapshots: list[int] | None = None) -> tuple[int, int] | None:
     """The (mask, delta) that ``solve_pruned``'s ascent ends with, or None
     when its parity stop will fire.
 
@@ -445,9 +446,10 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     without the parity stop the ascent pops every negative element of Q(n)
     and records exactly the nonnegative ones that are minimal or have a
     negative lower cover in Q(n).  The optimum v* and the smallest mask
-    with delta +v* come from ``dp``'s bitset and backtrack when
-    ``n * (total + 1)`` is at most SWEEP_DP_MAX_CELLS, otherwise from
-    ``_meet`` on the signed sums of the low n // 2 weights and of the rest:
+    with delta +v* come from ``dp``'s bitsets and backtrack when
+    ``n * (total + 1)`` is at most SWEEP_DP_MAX_CELLS (``snapshots``, if
+    given, is ``_subset_sums(inst)``), otherwise from ``_meet`` on the
+    signed sums of the low n // 2 weights and of the rest:
     the smallest low mask of the first row that meets v*.  If v* is above
     the total's parity, no element has delta 0, negation halves Q(n), and
     the answer is the smallest recorded mask with delta v*.
@@ -470,7 +472,7 @@ def _full_sweep(inst: Instance) -> tuple[int, int] | None:
     h = n // 2
     halves = None
     if n * (total + 1) <= SWEEP_DP_MAX_CELLS:
-        snapshots = _subset_sums(inst)
+        snapshots = snapshots or _subset_sums(inst)
         if snapshots[-1] >> (total + 1) // 2 & 1:  # v* is the parity: no backtrack
             return None
         w, best = _dp_optimum(inst, snapshots)
@@ -560,10 +562,17 @@ ALGORITHMS = (*_SOLVERS, "auto")
 
 
 def solve(inst: Instance, algo: str = "auto") -> Solution | None:
-    """Run the named algorithm; "auto" tries the fast paths, then the pruned
-    search's closed form (never its ascent) for 3 <= n <= TABLE_MAX_N, then
-    the DP oracle when its table has at most DP_MAX_CELLS cells, then the
-    meet in the middle up to n = 44.
+    """Run the named algorithm; "auto" tries the fast paths, then:
+
+    - inside the bitset bound (n <= TABLE_MAX_N and n * (total + 1) <=
+      SWEEP_DP_MAX_CELLS), it builds the DP bitsets once and answers with
+      the DP oracle when they reach ceil(total/2) (or n < 3), otherwise
+      with the pruned search's closed form (never its ascent);
+    - beyond it, never with the closed form: with the meet in the middle
+      for n <= TABLE_MAX_N, where at most 2**12 half sums a side bound its
+      time while the DP's table, past 2**22 cells, grows with the total;
+      above that with the DP oracle when its table has at most
+      DP_MAX_CELLS cells, otherwise with the meet in the middle up to n = 44.
 
     Only "minfast" and "corollary" may return None (no certificate applies).
     So "auto" is exact at every n up to 44; above it, an instance that no
@@ -574,14 +583,19 @@ def solve(inst: Instance, algo: str = "auto") -> Solution | None:
         return _SOLVERS[algo](inst)
     if algo != "auto":
         raise UnknownAlgorithm(f"unknown algorithm {algo!r}")
+    n, cells = inst.n, inst.n * (inst.total + 1)
     # by module name, not through _SOLVERS, so wrappers of these attributes see the calls
-    if inst.n >= 3:
+    if n >= 3:
         sol = solve_min_fastpath(inst) or solve_corollary(inst)
-        if sol is None and inst.n <= TABLE_MAX_N:
-            sol = _solve_closed_form(inst)
         if sol is not None:
             return sol
-    if inst.n * (inst.total + 1) <= DP_MAX_CELLS:
+    if n <= TABLE_MAX_N and cells <= SWEEP_DP_MAX_CELLS:
+        snapshots = _subset_sums(inst)
+        swept = _full_sweep(inst, snapshots) if n >= 3 else None
+        if swept is not None:
+            return _closed_form_solution(inst, swept)
+        return solve_dp(inst, snapshots=snapshots)
+    if n > TABLE_MAX_N and cells <= DP_MAX_CELLS:
         return solve_dp(inst)
     try:
         return solve_mitm(inst)

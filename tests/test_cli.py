@@ -358,8 +358,9 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
 # the pinned instances, one weight list per file
 PIN_FILES = {
     # pruned's closed-form sweep: a non-perfect phase instance at n = 21
-    # (optimum from the half-sum tables) and a parity-gap instance at n = 18
-    # (optimum from the DP bitset)
+    # (optimum from the half-sum tables; auto answers with the meet in the
+    # middle) and a parity-gap instance at n = 18 (optimum from the DP
+    # bitset, auto's closed form)
     "phase21": "14766354 29460213 22651102 32278036 1403023 3836668 24255354 8353482 "
                "21806620 31911695 23642689 9000238 19369915 13355341 846733 25766273 "
                "3302305 24528480 10602891 16886606 24652517",
@@ -368,7 +369,8 @@ PIN_FILES = {
     # check runs before the ascent: a perfect instance at n = 16 (duplicated
     # 40-bit halves; the check returns None, the ascent stops after 750 pops,
     # and auto answers with the meet in the middle) and a 63-bit non-perfect
-    # instance at n = 17
+    # instance at n = 17 (closed form; auto answers with the meet in the
+    # middle)
     "dup16": "1011707717353 660637959597 550786322915 898159780889 1011707717353 "
              "1033311238886 1089925756095 863764036341 1033311238886 638293147116 "
              "550786322915 660637959597 1089925756095 638293147116 898159780889 "
@@ -412,7 +414,14 @@ CLI_SHA256 = [
     ("9fb2f9624657deeb381264cfbc7943ad9b62087fccc43e1295ed5f8388818526", "hasse 16"),
     # the largest P DAG within the cap
     ("a14160211fb7aa2a2e9fc7a9923b3f6aa992293306bbf83fc7502d00231db296", "hasse 14 --poset P"),
-    ("f7222f19f07677d92c4a5456a56793ae2453451884e901e8a900aa587677daa1", "solve phase21 --json"),
+    # beyond the bitset bound auto answers with the meet in the middle, and
+    # pruned with its closed form
+    ("f7222f19f07677d92c4a5456a56793ae2453451884e901e8a900aa587677daa1",
+     "solve phase21 --algo pruned --json"),
+    ("a52f1351af14bffe8b921e0482f34253f15ad6d7eac258b56f8a794ba93405a3", "solve phase21 --json"),
+    ("bc92951b5a98f9c9044e03bc384ee6b7332e1c5d637fe812c2362cacb57df6b3",
+     "solve b63_17 --algo pruned --json"),
+    ("acc516bfbfa48bbb683b5018353a2e7c32fc48ab27dac28a0e57a998e94f2198", "solve b63_17 --json"),
     ("d32e60ec364ffcfce9a525e3e25c282ef6b58498d1c9c0be2481a11982039db1", "solve gap18 --json"),
     # parity stops: pruned runs its ascent, auto skips it for mitm and dp
     ("0a1d3d114632272b15de4b54027f177933b0d4e6e3eafd2589c52d71739b8ac5",
@@ -421,7 +430,6 @@ CLI_SHA256 = [
     ("a331076eb0a11e4e56f1db1f5b103efe80958a6ccfb9700e582a85cf9e09e100",
      "solve stop20 --algo pruned --json"),
     ("42f18fd1ed55efbb4e0053c2619913bb8d4b07ba418998215e02f9a1d27f03f6", "solve stop20 --json"),
-    ("bc92951b5a98f9c9044e03bc384ee6b7332e1c5d637fe812c2362cacb57df6b3", "solve b63_17 --json"),
     ("7cfede324634c9fd06c1e6fe37a26cb9edf72b454f934e62073fbb275a762489", "solve small10 --json"),
     ("a51521ce9d64eb5e5aa2ccc9415987b1735f333463b5bfa5a93f522927b0e8d3", "solve gap17 --json"),
     ("d3a17ad17da75b6844dad17fa36b0f530174ea472e297c0d9d61c1635305ce41", "solve walk11 --json"),

@@ -98,12 +98,16 @@ def test_dp_sized_pruned_solves_load_no_tables(tmp_path, weights, abs_delta):
 def test_table_commands_load_numpy_and_poset(tmp_path):
     loaded, out = _probe("hasse", "5")
     assert out.startswith('digraph "Q5"') and loaded == TABLE_MODULES
-    # beyond SWEEP_DP_MAX_CELLS, v* comes from the half-sum kernel
+    # beyond SWEEP_DP_MAX_CELLS, pruned's v* comes from the half-sum kernel,
+    # and auto answers with the meet in the middle
     weights = [13 * 10**6, 8 * 10**6, 5 * 10**6, 3 * 10**6, 10**6]
     assert len(weights) * (sum(weights) + 1) > solver.SWEEP_DP_MAX_CELLS
-    loaded, out = _probe(*_solve_argv(tmp_path, weights))
+    loaded, out = _probe(*_solve_argv(tmp_path, weights, "--algo", "pruned"))
     result = json.loads(out)
     assert (result["algo"], result["abs_delta"], loaded) == ("pruned", 2 * 10**6, ["numpy"])
+    loaded, out = _probe(*_solve_argv(tmp_path, weights))
+    result = json.loads(out)
+    assert (result["algo"], result["abs_delta"], loaded) == ("mitm", 2 * 10**6, ["numpy"])
 
 
 # ---------------------------------------------------------------------------

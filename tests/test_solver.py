@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from partition_posets import (
@@ -847,6 +847,92 @@ def test_auto_is_exact_property(raw):
         if other is not None:
             assert recompute(raw, other.subset) == other.delta, (algo, raw)
             assert other.abs_delta == sol.abs_delta, (algo, raw)
+
+
+def _certificate_free(draw, cells=(0, solver.DP_MAX_CELLS)):
+    # the first draw() that no certificate answers, with a DP table of
+    # cells[0] to cells[1] cells
+    while True:
+        raw = draw()
+        inst = normalize_instance(raw)
+        if (cells[0] <= inst.n * (inst.total + 1) <= cells[1]
+                and solve_min_fastpath(inst) is None and solve_corollary(inst) is None):
+            return raw, inst
+
+
+def test_auto_answers_perfect_wide_draws_with_mitm():
+    # perfect 18-bit draws at n = 20: about 4.5e7 DP cells, beyond the bitset
+    # bound, and total + 1 is about 2,000 times 2**10, so the half sums cost
+    # less than the DP's bitsets
+    rng = random.Random(7)
+    perfect = 0
+    while perfect < 3:
+        raw, inst = _certificate_free(lambda: [rng.randrange(1, 1 << 18) for _ in range(20)])
+        sol = solve(inst)
+        assert sol.algorithm == "mitm"
+        assert sol.abs_delta == solve_dp(inst).abs_delta
+        assert recompute(raw, sol.subset) == sol.delta
+        perfect += sol.abs_delta == inst.total % 2
+
+
+def test_auto_keeps_dp_for_narrow_draws_beyond_the_bound():
+    # uniform 14-bit draws at n = 30: 6-8 million DP cells, beyond the bitset
+    # bound, but above n = 24 auto keeps the DP whenever its table fits
+    rng = random.Random(30)
+    for _ in range(3):
+        _, inst = _certificate_free(lambda: [rng.randrange(1 << 14) for _ in range(30)],
+                                    (6 * 10**6, 8 * 10**6))
+        sol, dp = solve(inst), solve_dp(inst)
+        assert (sol.algorithm, sol.subset, sol.delta) == ("dp", dp.subset, dp.delta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda n: st.one_of(
+    st.lists(st.integers(1 << 22, 1 << 40), min_size=n, max_size=n),
+    st.randoms(use_true_random=False).map(
+        lambda rng: [((1 << 22) + 1) * w for w in _parity_gap(rng, n)]))))
+@example([13 * 10**6, 8 * 10**6, 5 * 10**6, 3 * 10**6, 10**6])
+def test_auto_never_answers_pruned_beyond_the_bitset_bound(raw):
+    # beyond the bound auto answers n <= 24 with mitm and never runs pruned's
+    # closed form; parity gaps scaled past the bound are never perfect
+    inst = normalize_instance(raw)
+    assume(inst.n * (inst.total + 1) > solver.SWEEP_DP_MAX_CELLS)
+    sol = solve(inst)
+    assert sol.algorithm in ("minfast", "corollary", "mitm"), raw
+    assert sol.abs_delta == oracles.min_abs_delta_halves(raw), raw
+    assert recompute(raw, sol.subset) == sol.delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 24).flatmap(_bench_shapes))
+@example([13, 8, 5, 3, 1])  # closed form
+@example([6, 5, 4, 3, 3, 1])  # parity stop
+@example([1000, 999])  # n < 3: Q(n) is empty
+def test_auto_inside_the_bitset_bound_matches_pruned_or_dp(raw):
+    # one bitset build answers both: pruned's closed form, or dp's backtrack
+    # on a parity stop, each byte for byte as the explicit algorithm
+    inst = normalize_instance(raw)
+    assume(inst.n * (inst.total + 1) <= solver.SWEEP_DP_MAX_CELLS)
+    sol = solve(inst)
+    if sol.algorithm in ("minfast", "corollary"):
+        return
+    assert sol.algorithm in ("pruned", "dp"), raw
+    other = (solve_pruned if sol.algorithm == "pruned" else solve_dp)(inst)
+    assert (sol.subset, sol.delta, sol.nodes_visited) == (
+        other.subset, other.delta, other.nodes_visited), raw
+    assert sol.algorithm == "pruned" or sol.abs_delta == inst.total % 2 or inst.n < 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64).flatmap(
+    lambda n: st.lists(st.integers(0, 1000), min_size=n, max_size=n)))
+@example([1000] * 24)  # the largest table inside the bitset bound
+@example([1000] * 25)  # the smallest n at which auto goes straight to the DP
+@example([1000] * 2)
+def test_auto_never_sends_uniform_weights_to_mitm(raw):
+    # weights in 0..1000 stay on the certificates, the closed form and the
+    # DP at every n, so those solves never load numpy
+    assert solve(normalize_instance(raw)).algorithm != "mitm", raw
 
 
 def test_explicit_guard_propagates():
