@@ -7,6 +7,10 @@ Covers in P(n) are generated by exactly two operator families: flipping the
 last entry up, and swapping an adjacent (-1, +1) pair.  ``core.cover_moves``
 encodes them as bitmask moves once; the covers, the Hasse DAG and the pruned
 solver's closed-form sweep all read them from there.
+
+``verify_structure`` runs the checks of ``_CHECK_TABLE``.  A check returns
+None when it passes and its failure detail otherwise; one guard rule
+(lo <= n <= hi, else SKIP under "all" and an error when named) covers all.
 """
 
 from __future__ import annotations
@@ -480,7 +484,7 @@ def _cover_matrix(n: int, kind: PosetKind) -> np.ndarray:
     return covers
 
 
-def _check_covers(n: int) -> CheckResult:
+def _check_covers(n: int) -> str | None:
     for kind in (PosetKind.P, PosetKind.Q):
         expected = _cover_matrix(n, kind)
         dag = build_hasse(n, kind)
@@ -488,14 +492,11 @@ def _check_covers(n: int) -> CheckResult:
         got[dag.lower, dag.upper] = True
         same_nodes = np.array_equal(dag.masks, _members(n, kind))
         if not (same_nodes and np.array_equal(got, expected)):
-            return CheckResult(
-                "covers", False,
-                detail=f"operator covers != transitive reduction for {kind.value}({n})",
-            )
-    return CheckResult("covers", True)
+            return f"operator covers != transitive reduction for {kind.value}({n})"
+    return None
 
 
-def _check_iso(n: int) -> CheckResult:
+def _check_iso(n: int) -> str | None:
     from .core import iso_f
 
     size = 1 << n
@@ -506,46 +507,34 @@ def _check_iso(n: int) -> CheckResult:
         row = [n - b for b in range(n) if mask >> b & 1]
         padded[mask, : len(row)] = row
     dom = _leq_matrix(padded)
-    if not np.array_equal(le, dom):
-        i, j = np.argwhere(le != dom)[0]
-        a = SignVector(n, int(i))
-        b = SignVector(n, int(j))
-        return CheckResult(
-            "iso", False,
-            detail=f"order and image dominance disagree on {a!r}, {b!r} "
-            f"(images {iso_f(a).indices}, {iso_f(b).indices})",
-        )
-    return CheckResult("iso", True)
+    if np.array_equal(le, dom):
+        return None
+    i, j = np.argwhere(le != dom)[0]
+    a, b = SignVector(n, int(i)), SignVector(n, int(j))
+    return (f"order and image dominance disagree on {a!r}, {b!r} "
+            f"(images {iso_f(a).indices}, {iso_f(b).indices})")
 
 
-def _check_symmetry(n: int) -> CheckResult:
+def _check_symmetry(n: int) -> str | None:
     le = _order_matrix(n)
     neg = np.arange(1 << n)[::-1].copy()  # negation of mask m is fullmask - m
     mirrored = le[np.ix_(neg, neg)].T
-    if not np.array_equal(le, mirrored):
-        i, j = np.argwhere(le != mirrored)[0]
-        return CheckResult(
-            "symmetry", False,
-            detail=f"leq(v, w) != leq(-w, -v) at masks ({int(i)}, {int(j)})",
-        )
-    return CheckResult("symmetry", True)
+    if np.array_equal(le, mirrored):
+        return None
+    i, j = np.argwhere(le != mirrored)[0]
+    return f"leq(v, w) != leq(-w, -v) at masks ({int(i)}, {int(j)})"
 
 
-def _check_chains(n: int) -> CheckResult:
+def _check_chains(n: int) -> str | None:
     ext = extremes(n)
     for k, lo in enumerate(ext.minimal):
         for kp, hi in enumerate(ext.maximal):
-            if k == kp:
-                continue
-            if not (leq(lo, hi) and lo != hi):
-                return CheckResult(
-                    "chains", False,
-                    detail=f"minimal #{k} is not strictly below maximal #{kp} at n = {n}",
-                )
-    return CheckResult("chains", True)
+            if k != kp and not (leq(lo, hi) and lo != hi):
+                return f"minimal #{k} is not strictly below maximal #{kp} at n = {n}"
+    return None
 
 
-def _check_dominance(n: int) -> CheckResult:
+def _check_dominance(n: int) -> str | None:
     ps = _psums_matrix(n)
     ext = extremes(n)
     neg = np.arange(1 << n)[::-1]
@@ -553,31 +542,21 @@ def _check_dominance(n: int) -> CheckResult:
         above = np.all(ps >= ps[lo.mask], axis=1)
         count = int(above.sum())
         if count != 1 << (n - 1):
-            return CheckResult(
-                "dominance", False,
-                detail=f"minimal #{k} sits below {count} vectors, expected {1 << (n - 1)}",
-            )
+            return f"minimal #{k} sits below {count} vectors, expected {1 << (n - 1)}"
         if not np.all(above | above[neg]):
-            return CheckResult(
-                "dominance", False,
-                detail=f"some vector and its negation both avoid minimal #{k}",
-            )
-    return CheckResult("dominance", True)
+            return f"some vector and its negation both avoid minimal #{k}"
+    return None
 
 
-def _check_graded(n: int) -> CheckResult:
+def _check_graded(n: int) -> str | None:
     ranks = _mask_ranks(_members(n, PosetKind.Q), n)
     lower, upper = np.nonzero(_cover_matrix(n, PosetKind.Q))
     jumps = ranks[upper] - ranks[lower]
     bad = np.flatnonzero(jumps != 1)
-    if len(bad):
-        return CheckResult(
-            "graded", False, detail=f"a cover in Q({n}) jumps rank by {int(jumps[bad[0]])}"
-        )
-    return CheckResult("graded", True)
+    return f"a cover in Q({n}) jumps rank by {int(jumps[bad[0]])}" if len(bad) else None
 
 
-def _check_profiles(n: int) -> CheckResult:
+def _check_profiles(n: int) -> str | None:
     from . import counting
 
     p = counting.p_rank_profile(n)
@@ -589,21 +568,19 @@ def _check_profiles(n: int) -> CheckResult:
     padded[n:n + len(q.counts)] = q.counts  # Q rank = P rank - n
     for rho in range(r + 1):
         if p.counts[rho] != padded[rho] + rp.counts[rho] + rm.counts[rho]:
-            return CheckResult("profiles", False,
-                               detail=f"conservation fails at rank {rho}")
+            return f"conservation fails at rank {rho}"
     if q.total != counting.q_size(n):
-        return CheckResult("profiles", False, detail="Q size mismatch")
+        return "Q size mismatch"
     if n <= _PROFILE_ENUM_MAX_N:
         ranks = _mask_ranks(np.arange(1 << n), n)
         for kind, counts in ((PosetKind.R_PLUS, rp.counts), (PosetKind.Q, padded)):
             member = np.frombuffer(membership_table(n, kind), dtype=bool)
             if np.bincount(ranks[member], minlength=r + 1).tolist() != list(counts):
-                return CheckResult("profiles", False,
-                                   detail=f"{kind.value} profile disagrees with enumeration")
-    return CheckResult("profiles", True)
+                return f"{kind.value} profile disagrees with enumeration"
+    return None
 
 
-def _check_solvers(n: int) -> CheckResult:
+def _check_solvers(n: int) -> str | None:
     # through module attributes, so wrappers installed on them see the calls
     from . import core, solver
 
@@ -618,14 +595,12 @@ def _check_solvers(n: int) -> CheckResult:
             results["pruned"] = solver.solve_pruned(inst).abs_delta
         for name, value in results.items():
             if value != ref:
-                return CheckResult(
-                    "solvers", False,
-                    detail=f"{name} got {value}, brute got {ref} on {raw}",
-                )
-    return CheckResult("solvers", True)
+                return f"{name} got {value}, brute got {ref} on {raw}"
+    return None
 
 
-# name -> (check, smallest n it runs at, size guard)
+# name -> (check, smallest n it runs at, size guard); a check returns None
+# when it passes and its failure detail otherwise
 _CHECK_TABLE = {
     "covers": (_check_covers, 1, 10),
     "iso": (_check_iso, 1, 10),
@@ -644,36 +619,37 @@ def verify_structure(n: int, checks: Iterable[str] | str = "all") -> list[CheckR
     "all", one check name, or an iterable of names.
 
     Besides the structural checks, ``profiles`` cross-checks the counting
-    DPs and ``solvers`` the exact solvers against brute force.  With
-    ``checks="all"`` every check runs, and those whose size guard or minimum
-    n excludes them are reported as skipped; naming a check explicitly
-    outside its guard raises instead.
+    DPs and ``solvers`` the exact solvers against brute force.  Each check
+    returns None when it passes and its failure detail otherwise; the
+    ``CheckResult`` is built here, named by the check's table key.  One
+    guard rule holds for every check: it runs when lo <= n <= hi for its
+    table row.  Outside that range, ``checks="all"`` reports it as skipped
+    with the reason, while a named check raises ``TooSmall`` below lo and
+    ``TooLarge`` above hi.  An unknown name, or a selection that names no
+    check, raises ``UnknownCheck``.
     """
-    if checks == "all":
-        names = list(CHECKS)
-        explicit = False
-    else:
-        names = [checks] if isinstance(checks, str) else list(checks)
-        explicit = True
-        for name in names:
-            if name not in _CHECK_TABLE:
-                raise UnknownCheck(f"unknown check {name!r}")
+    explicit = checks != "all"
+    if isinstance(checks, str):  # "all" or one check name
+        checks = [checks] if explicit else CHECKS
+    names = list(checks)
+    if not names:
+        raise UnknownCheck("--checks names no check")
+    for name in names:
+        if name not in _CHECK_TABLE:
+            raise UnknownCheck(f"unknown check {name!r}")
     if n < 1:
         raise TooSmall("n must be at least 1")
     results = []
     for name in names:
         check, lo, hi = _CHECK_TABLE[name]
-        if n < lo:
-            results.append(
-                CheckResult(name, True, skipped=True, detail=f"requires n >= {lo}")
-            )
-            continue
-        if n > hi:
-            if explicit:
-                raise TooLarge(f"check {name!r} is capped at n = {hi}")
-            results.append(
-                CheckResult(name, True, skipped=True, detail=f"capped at n = {hi}")
-            )
-            continue
-        results.append(check(n))
+        if lo <= n <= hi:
+            detail = check(n)
+            results.append(CheckResult(name, detail is None, detail=detail or ""))
+        elif not explicit:
+            reason = f"requires n >= {lo}" if n < lo else f"capped at n = {hi}"
+            results.append(CheckResult(name, True, skipped=True, detail=reason))
+        elif n < lo:
+            raise TooSmall(f"check {name!r} requires n >= {lo}")
+        else:
+            raise TooLarge(f"check {name!r} is capped at n = {hi}")
     return results

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -272,11 +273,15 @@ def test_verify_empty_check_list_exits_2(capsys):
     assert "no check" in captured.err
 
 
-@pytest.mark.parametrize("n, name, cap", [(20, "solvers", 16), (121, "profiles", 120)])
-def test_verify_named_check_over_cap_exits_2(capsys, n, name, cap):
+@pytest.mark.parametrize("n, name, bound", [
+    (20, "solvers", 16), (121, "profiles", 120),
+    (3, "chains", 4), (2, "graded", 3),  # below the check's minimum n
+])
+def test_verify_named_check_over_cap_exits_2(capsys, n, name, bound):
     # one guard rule for every check: SKIP under `all`, an error when named
     assert main(["verify", str(n), "--checks", name]) == 2
-    assert f"check {name!r} is capped at n = {cap}" in capsys.readouterr().err
+    reason = f"is capped at n = {bound}" if n > bound else f"requires n >= {bound}"
+    assert capsys.readouterr().err == f"error: check {name!r} {reason}\n"
 
 
 def test_verify_prints_checks_in_given_order(capsys):
@@ -322,7 +327,7 @@ def test_verify_skip_reported(capsys):
     assert main(["verify", "3", "--checks", "all", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     by_name = {c["name"]: c for c in payload["checks"]}
-    assert by_name["chains"]["status"] == "skip"
+    assert by_name["chains"] == {"name": "chains", "status": "skip", "detail": "requires n >= 4"}
 
 
 def test_unexpected_exception_exits_3(monkeypatch, tmp_path, capsys):
@@ -350,6 +355,64 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(poset, "verify_structure", fake_verify)
     assert main(["verify", "5", "--checks", "covers"]) == 1
     assert "covers: FAIL" in capsys.readouterr().out
+
+
+def _drop_one_cover(monkeypatch):
+    from partition_posets import poset
+
+    real = poset.build_hasse
+
+    def build(n, kind, **kwargs):
+        dag = real(n, kind, **kwargs)
+        return dataclasses.replace(dag, lower=dag.lower[1:], upper=dag.upper[1:])
+
+    monkeypatch.setattr(poset, "build_hasse", build)
+
+
+def _miscount_q(monkeypatch):
+    # q_rank_profile, not rplus_rank_profile: q reads R+ too, so conservation
+    # would still hold
+    from partition_posets import counting
+
+    real = counting.q_rank_profile
+
+    def profile(n):
+        p = real(n)
+        return dataclasses.replace(p, counts=(p.counts[0] + 1,) + p.counts[1:])
+
+    monkeypatch.setattr(counting, "q_rank_profile", profile)
+
+
+def _misreport_pruned(monkeypatch):
+    from partition_posets import solver
+
+    real = solver.solve_pruned
+
+    def solve(inst):
+        sol = real(inst)
+        return dataclasses.replace(sol, abs_delta=sol.abs_delta + 1)
+
+    monkeypatch.setattr(solver, "solve_pruned", solve)
+
+
+# check name -> (plants a mutant in what the check reads, its failure detail at n = 5)
+MUTANTS = {
+    "covers": (_drop_one_cover, "operator covers != transitive reduction for P(5)"),
+    "profiles": (_miscount_q, "conservation fails at rank 5"),
+    "solvers": (_misreport_pruned, "pruned got 11, brute got 10 on [761, 119, 532, 352, 452]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_verify_reports_a_planted_failure(monkeypatch, capsys, name):
+    # a check's own failure comes through verify_structure and the CLI as is
+    from partition_posets.poset import CheckResult, verify_structure
+
+    plant, detail = MUTANTS[name]
+    plant(monkeypatch)
+    assert verify_structure(5, name) == [CheckResult(name, False, detail=detail)]
+    assert main(["verify", "5", "--checks", name]) == 1
+    assert capsys.readouterr().out == f"{name}: FAIL ({detail})\n"
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,14 @@ def test_profile_loads_no_tables():
     (list(range(1, 31)), "dp"),
     ([6, 5, 4, 3, 3, 1], "dp"),  # a parity stop for pruned: auto skips its ascent
     ([13, 8, 5, 3, 1], "pruned"),  # pruned's closed form: the first candidate
+    # perfect uniform draw at n = 20: the parity stop reuses the bitsets
+    ([634, 634, 178, 686, 786, 472, 968, 453, 485, 377, 956, 429, 556,
+      162, 632, 93, 468, 816, 245, 939], "dp"),
+    # 14-bit uniform draw at n = 30, 7.6e6 cells: beyond the bitset bound,
+    # but above n = 24 the DP table fits
+    ([6867, 13426, 6727, 4879, 15449, 14822, 3440, 5298, 16093, 15582,
+      1338, 14508, 1616, 11303, 7111, 3984, 3065, 8617, 5093, 860, 9842,
+      15201, 7779, 10064, 15067, 8018, 1341, 7882, 8046, 9643], "dp"),
 ])
 def test_certificate_and_dp_solves_load_no_tables(tmp_path, weights, algo):
     loaded, out = _probe(*_solve_argv(tmp_path, weights))

@@ -688,8 +688,12 @@ def test_graded_reports_the_first_rank_jump(monkeypatch):
 def test_verify_structure_guards():
     with pytest.raises(UnknownCheck):
         verify_structure(5, ["bogus"])
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="check 'covers' is capped at n = 10"):
         verify_structure(12, ["covers"])
+    with pytest.raises(TooSmall, match="check 'graded' requires n >= 3"):
+        verify_structure(2, "graded")
+    with pytest.raises(UnknownCheck, match="names no check"):
+        verify_structure(5, [])
     skipped = {r.name: r for r in verify_structure(12, "all")}
     assert skipped["covers"].skipped
     assert not skipped["chains"].skipped
