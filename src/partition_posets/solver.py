@@ -314,11 +314,11 @@ def solve_pruned(inst: Instance) -> Solution:
         raise TooSmall("Q(n) is empty for n < 3")
     if n > TABLE_MAX_N:
         raise TooLarge(f"pruned search is capped at n = {TABLE_MAX_N}")
+    minimal_deltas = _minimal_deltas(inst)
     swept = _full_sweep(inst)
     if swept is not None:
-        return _closed_form_solution(inst, swept)
+        return _closed_form_solution(inst, swept, minimal_deltas)
     c = inst.c
-    minimal_deltas = _minimal_deltas(inst)
     parity = inst.total & 1
     full = (1 << n) - 1
     top_bit = 1 << (n - 1)
@@ -373,11 +373,12 @@ def solve_pruned(inst: Instance) -> Solution:
     raise AssertionError("the ascent ended without its parity stop")
 
 
-def _closed_form_solution(inst: Instance, swept: tuple[int, int]) -> Solution:
+def _closed_form_solution(inst: Instance, swept: tuple[int, int], deltas: list[int]) -> Solution:
     """``solve_pruned``'s answer from ``_full_sweep``'s (mask, delta), with
-    no ascent."""
+    no ascent; ``deltas`` is ``_minimal_deltas(inst)``, whose nonnegative
+    entries the ascent would record."""
     # v* is above the parity, so no minimal element stops the ascent
-    nonneg_minimal = sum(d >= 0 for d in _minimal_deltas(inst))
+    nonneg_minimal = sum(d >= 0 for d in deltas)
     return _make_solution(inst, *swept, "pruned", q_size(inst.n) // 2 + nonneg_minimal)
 
 
@@ -513,22 +514,26 @@ def _full_sweep(inst: Instance, snapshots: list[int] | None = None) -> tuple[int
 # closed-form fast paths on the extremal elements
 
 
-def solve_min_fastpath(inst: Instance) -> Solution | None:
+def solve_min_fastpath(inst: Instance, *, deltas: list[int] | None = None) -> Solution | None:
     """The first minimal element of Q(n) with nonnegative delta is optimal.
 
     Reads the floor((n-1)/2) + 1 minimal elements' deltas from one O(n)
-    pass over prefix sums; returns None when none qualifies.
+    pass over prefix sums, ``_minimal_deltas(inst)``, or from ``deltas``
+    when the caller has built that pass already; returns None when none
+    qualifies.
     """
     n = inst.n
     if n < 3:
         raise TooSmall("Q(n) is empty for n < 3")
-    for k, d in enumerate(_minimal_deltas(inst)):
+    if deltas is None:
+        deltas = _minimal_deltas(inst)
+    for k, d in enumerate(deltas):
         if d >= 0:
             return _make_solution(inst, min_element_mask(n, k), d, "minfast", k + 1)
     return None
 
 
-def solve_corollary(inst: Instance) -> Solution | None:
+def solve_corollary(inst: Instance, *, deltas: list[int] | None = None) -> Solution | None:
     """Maximal-element certificate.
 
     A maximal element wins when its delta is nonnegative and each defined
@@ -536,12 +541,15 @@ def solve_corollary(inst: Instance) -> Solution | None:
     addition for 2k != n-1) has a delta at least as large.  The negation is
     minimal element k, of delta -d_top; the swap at entries k, k+1 adds
     2 (c[k-1] - c[k]) to it and the addition 2 c[n-1], so each test compares
-    d_top with half of that gain.
+    d_top with half of that gain.  As in ``solve_min_fastpath``, ``deltas``
+    is ``_minimal_deltas(inst)`` when the caller has built it already.
     """
     n, c = inst.n, inst.c
     if n < 3:
         raise TooSmall("Q(n) is empty for n < 3")
-    for k, d in enumerate(_minimal_deltas(inst)):
+    if deltas is None:
+        deltas = _minimal_deltas(inst)
+    for k, d in enumerate(deltas):
         d_top = -d
         if d_top < 0:
             continue
@@ -562,7 +570,8 @@ ALGORITHMS = (*_SOLVERS, "auto")
 
 
 def solve(inst: Instance, algo: str = "auto") -> Solution | None:
-    """Run the named algorithm; "auto" tries the fast paths, then:
+    """Run the named algorithm; "auto" tries the fast paths on one pass of
+    minimal-element deltas, which the closed form reuses, then:
 
     - inside the bitset bound (n <= TABLE_MAX_N and n * (total + 1) <=
       SWEEP_DP_MAX_CELLS), it builds the DP bitsets once and answers with
@@ -584,16 +593,18 @@ def solve(inst: Instance, algo: str = "auto") -> Solution | None:
     if algo != "auto":
         raise UnknownAlgorithm(f"unknown algorithm {algo!r}")
     n, cells = inst.n, inst.n * (inst.total + 1)
-    # by module name, not through _SOLVERS, so wrappers of these attributes see the calls
+    # by module name, not through _SOLVERS, so wrappers of these attributes
+    # see the calls; one pass of minimal-element deltas serves all three reads
     if n >= 3:
-        sol = solve_min_fastpath(inst) or solve_corollary(inst)
+        deltas = _minimal_deltas(inst)
+        sol = solve_min_fastpath(inst, deltas=deltas) or solve_corollary(inst, deltas=deltas)
         if sol is not None:
             return sol
     if n <= TABLE_MAX_N and cells <= SWEEP_DP_MAX_CELLS:
         snapshots = _subset_sums(inst)
         swept = _full_sweep(inst, snapshots) if n >= 3 else None
         if swept is not None:
-            return _closed_form_solution(inst, swept)
+            return _closed_form_solution(inst, swept, deltas)
         return solve_dp(inst, snapshots=snapshots)
     if n > TABLE_MAX_N and cells <= DP_MAX_CELLS:
         return solve_dp(inst)

@@ -628,6 +628,90 @@ def test_certificates_match_operator_reference():
     assert fired["minfast"] >= 500 and fired["corollary"] >= 100, fired
 
 
+SHARED_DELTA_FAMILIES = {
+    **CERTIFICATE_FAMILIES,
+    "zeros": SWEEP_FAMILIES["zeros"],
+}
+
+
+def _outcome_or_none(sol):
+    return None if sol is None else (sol.subset, sol.delta, sol.algorithm, sol.nodes_visited)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(SHARED_DELTA_FAMILIES)),
+    st.integers(3, 64),
+    st.randoms(use_true_random=False),
+)
+def test_certificates_on_shared_deltas_match_their_own_pass(family, n, rng):
+    # handing a certificate the caller's minimal-element deltas changes
+    # nothing, None results included; so does the closed form's count of
+    # nonnegative minimal elements, read from solve_pruned's own list
+    inst = normalize_instance(SHARED_DELTA_FAMILIES[family](rng, n))
+    deltas = solver._minimal_deltas(inst)
+    for fast in (solve_min_fastpath, solve_corollary):
+        assert _outcome_or_none(fast(inst, deltas=deltas)) == _outcome_or_none(fast(inst)), (
+            fast.__name__, inst.c)
+    if n <= 16 and solver._full_sweep(inst) is not None:
+        nonneg_minimal = sum(delta(v, inst) >= 0 for v in extremes(n).minimal)
+        assert solve_pruned(inst).nodes_visited == q_size(n) // 2 + nonneg_minimal, inst.c
+
+
+def _count_minimal_deltas(monkeypatch):
+    # counts solver._minimal_deltas calls, and logs each certificate call
+    # made through its module attribute with the keyword arguments it got
+    passes, certificates = [], []
+    minimal_deltas = solver._minimal_deltas
+    monkeypatch.setattr(solver, "_minimal_deltas",
+                        lambda inst: passes.append(1) or minimal_deltas(inst))
+    for name in ("solve_min_fastpath", "solve_corollary"):
+        def wrapper(inst, fn=getattr(solver, name), name=name, **kwargs):
+            certificates.append((name, kwargs))
+            return fn(inst, **kwargs)
+
+        monkeypatch.setattr(solver, name, wrapper)
+    return passes, certificates
+
+
+def _narrow_30():
+    # n = 30, 14-bit weights: a DP table under DP_MAX_CELLS, beyond the bitset bound
+    rng = random.Random(30)
+    return _certificate_free(lambda: [rng.randrange(1 << 14) for _ in range(30)],
+                             (6 * 10**6, 8 * 10**6))[0]
+
+
+def _wide_30():
+    # n = 30, 40-bit weights: no certificate, a DP table over DP_MAX_CELLS
+    rng = random.Random(30)
+    return [rng.randint(1, 2**40) for _ in range(30)]
+
+
+@pytest.mark.parametrize("algorithm,raw", [
+    ("minfast", [10, 3, 2, 1]),
+    ("corollary", [10, 4, 3, 2, 2]),
+    ("pruned", [13, 8, 5, 3, 1]),  # the closed form
+    ("dp", [7, 6, 5, 4, 3, 2, 2]),  # a parity stop inside the bitset bound
+    ("dp", [1000, 999]),  # n < 3: no certificate, no deltas
+    ("dp", _narrow_30),
+    ("mitm", [13 * 10**6, 8 * 10**6, 5 * 10**6, 3 * 10**6, 10**6]),  # beyond the bound, n <= 24
+    ("mitm", _wide_30),
+])
+def test_auto_builds_minimal_deltas_once(algorithm, raw, monkeypatch):
+    # every auto path reads the minimal-element deltas from at most one
+    # pass, and calls both certificates through their module attributes
+    # (which bench/tracing.py wraps) with that pass as ``deltas``
+    raw = raw() if callable(raw) else raw
+    passes, certificates = _count_minimal_deltas(monkeypatch)
+    sol = solve(normalize_instance(raw))
+    assert sol.algorithm == algorithm
+    assert len(passes) == (len(raw) >= 3)
+    tried = ["solve_min_fastpath", "solve_corollary"][:1 if algorithm == "minfast" else 2]
+    assert [name for name, _ in certificates] == (tried if len(raw) >= 3 else [])
+    assert all(list(kwargs) == ["deltas"] for _, kwargs in certificates)
+    assert len({id(kwargs["deltas"]) for _, kwargs in certificates}) <= 1
+
+
 # ---------------------------------------------------------------------------
 # meet in the middle
 
@@ -779,8 +863,7 @@ def test_auto_too_large_names_both_caps():
 
 def test_auto_answers_beyond_pruned_with_mitm():
     # n = 30 and 40-bit weights: no certificate, beyond pruned and the DP
-    rng = random.Random(30)
-    raw = [rng.randint(1, 2**40) for _ in range(30)]
+    raw = _wide_30()
     inst = normalize_instance(raw)
     assert solve_min_fastpath(inst) is None and solve_corollary(inst) is None
     sol = solve(inst, "auto")
