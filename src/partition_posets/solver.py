@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, compress
 from typing import TYPE_CHECKING
 
@@ -63,40 +64,75 @@ class Solution:
     nodes_visited: int
 
 
-def _signed_sums(c: tuple[int, ...]) -> list[int]:
-    # all 2^n signed sums as Python ints, weight i taken + in the masks with bit i
-    d = [-sum(c)]
-    for ci in c:
-        d += [x + 2 * ci for x in d]
-    return d
+@lru_cache(maxsize=None)
+def _signs(k: int) -> np.ndarray:
+    # row m of the read-only (2^k, k) int64 matrix is the sign vector of
+    # mask m: +1 at the columns of its set bits, -1 elsewhere.  No caller
+    # passes _delta_table more than 22 weights, so k <= 11 (180 KB)
+    import numpy as np
+
+    bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+    signs = (2 * bits - 1).astype(np.int64)
+    signs.flags.writeable = False
+    return signs
 
 
 def _delta_table(c: tuple[int, ...]) -> np.ndarray:
-    # _signed_sums as int64: mask t << h | lo adds the signed sums of c[h:]
-    # and c[:h], each at most the total in size, so every cell is exact
+    """All 2^len(c) signed sums in int64, weight i taken + in the masks with
+    bit i: mask t << h | lo (h = len(c) // 2) adds the signed sums of c[h:]
+    and c[:h], each a ``_signs`` product.  Every partial sum of a product,
+    and every cell, is a signed sum of some of the weights, so at most the
+    total in size and exact."""
     import numpy as np
 
     h = len(c) // 2
-    highs = np.array(_signed_sums(c[h:]), dtype=np.int64)
-    return np.add.outer(highs, np.array(_signed_sums(c[:h]), dtype=np.int64)).ravel()
+    w = np.array(c, dtype=np.int64)
+    return np.add.outer(_signs(len(c) - h) @ w[h:], _signs(h) @ w[:h]).ravel()
 
 
-def _meet(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Horowitz & Sahni's half-sum kernel: the low sums sorted into
-    ``keys``; for each high sum hd, the index ``first`` of the first key
-    >= -hd; and ``nearest``, that key plus hd, each row's least sum >= 0
-    (clipped to the last key in a row where every key is below -hd).
+def _meet(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Horowitz & Sahni's half-sum kernel on sorted values.  Row t holds
+    the sums lows + highs[t] and is named by its query q = -highs[t], not
+    by t.  Returns the low sums sorted into ``keys``, the queries sorted
+    into ``queries``, and per sorted query its row's least sum >= 0,
+    ``above``, and greatest sum < 0, ``below``.  A row with no sum >= 0
+    clips ``above`` to its greatest sum and one with no sum < 0 clips
+    ``below`` to its least, so every entry is one of its row's sums.
+    Callers find a row by its query's value (``_first_row``).
 
-    The queries -hd are searched in ascending order, so each search starts
-    where the last one ended."""
+    The queries ascend, so each search starts where the last one ended.
+    All four arrays are new: callers may overwrite them."""
     import numpy as np
 
     keys = np.sort(lows)
-    queries = -highs
-    by_query = np.argsort(queries)
-    first = np.empty_like(by_query)
-    first[by_query] = np.searchsorted(keys, queries[by_query])
-    return keys, first, keys.take(first, mode="clip") + highs
+    queries = np.negative(highs)
+    queries.sort()
+    j = np.searchsorted(keys, queries)
+    above = keys.take(j, mode="clip")
+    above -= queries
+    j -= 1
+    below = keys.take(j, mode="clip")
+    below -= queries
+    return keys, queries, above, below
+
+
+def _first_row(highs: np.ndarray, winners: np.ndarray) -> int:
+    """The first row t whose query -highs[t] is among the sorted
+    ``winners``, one entry per winning row.  With w of the N rows winning,
+    the first lies near row N / w, so rows are searched in slices from
+    8 N / w rows that double until one hits: one slice of every row when
+    few win, and a short one when narrow weights let most rows win."""
+    import numpy as np
+
+    start, size = 0, 8 * len(highs) // len(winners)
+    while start < len(highs):
+        queries = np.negative(highs[start:start + size])
+        i = np.searchsorted(winners, queries)
+        hit = winners.take(i, mode="clip") == queries
+        if hit.any():
+            return start + int(hit.argmax())
+        start, size = start + size, 2 * size
+    raise AssertionError("no row has a winning query")
 
 
 def _minimal_deltas(inst: Instance) -> list[int]:
@@ -239,11 +275,13 @@ def solve_mitm(inst: Instance) -> Solution:
 
     With h = n // 2 + 1, mask ``t << h | 2 lo + 1`` has delta ``lows[lo] +
     highs[t]``: the signed sums of weights 2..h plus the first weight, and
-    those of the rest.  ``_meet`` finds the sorted low sums on either side
-    of each -hd, which give the optimum v*; the smallest mask reaching it
-    lies in the first row t that meets v* - hd or -v* - hd, at the smallest
-    low mask of either sum.  ``nodes_visited`` counts the half sums built.  Capped at
-    n = 44, where a call peaks near 175 MB.
+    those of the rest.  ``_meet`` finds each row's sums on either side of
+    0, which give the optimum v* and the sorted queries -hd of the rows
+    that meet it; ``_first_row`` searches the rows' -hd among those for
+    the first row t, and the smallest mask reaching v* lies in it, at the
+    smallest low mask of sum v* - hd or -v* - hd.  ``nodes_visited``
+    counts the half sums built.  Capped at n = 44, where a call peaks near
+    145 MB of arrays.
     """
     n, c = inst.n, inst.c
     if n > 44:
@@ -254,11 +292,14 @@ def solve_mitm(inst: Instance) -> Solution:
     lows = _delta_table(c[1:h])
     lows += c[0]
     highs = _delta_table(c[h:])
-    keys, i, above = _meet(lows, highs)
-    below = keys.take(i - 1, mode="clip") + highs  # the low sum before ``above``'s
-    best = min(int(np.abs(above).min()), int(np.abs(below).min()))
+    keys, queries, above, below = _meet(lows, highs)
+    # in place: a row meets v* when |above| or |below| is v*; the kernel's
+    # arrays are freed before the row search allocates its own
+    best = min(int(np.abs(above, out=above).min()), int(np.abs(below, out=below).min()))
+    winners = queries[(above == best) | (below == best)]
+    del keys, queries, above, below
     # v* <= c[0], so |v* - hd| <= c[0] + sum(c[h:]) <= total: no overflow
-    t = int(np.argmax((above == best) | (below == -best)))
+    t = _first_row(highs, winners)
     hd = int(highs[t])
     lo = int(np.argmax((lows == best - hd) | (lows == -best - hd)))
     return _make_solution(inst, t << h | 2 * lo + 1, lows[lo] + hd, "mitm", len(lows) + len(highs))
@@ -429,14 +470,12 @@ def _vectorized_walk(w: np.ndarray, q: np.ndarray, minimal: list[int],
     raise AssertionError("no recorded element of Q(n) has the optimal delta")
 
 
-def _half_sums(c: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+def _half_sums(c: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The signed sums ``lows`` of c[:h] (h = n // 2) and ``highs`` of
-    c[h:], then ``_meet``'s ``keys``, ``first`` and ``nearest`` on them:
-    mask t << h | lo has delta lows[lo] + highs[t], and nearest[t] is row
-    t's least delta >= 0."""
+    c[h:]: mask t << h | lo has delta lows[lo] + highs[t], and row t holds
+    the masks of high part t."""
     h = len(c) // 2
-    lows, highs = _delta_table(c[:h]), _delta_table(c[h:])
-    return lows, highs, *_meet(lows, highs)
+    return _delta_table(c[:h]), _delta_table(c[h:])
 
 
 def _full_sweep(inst: Instance, snapshots: list[int] | None = None) -> tuple[int, int] | None:
@@ -465,9 +504,10 @@ def _full_sweep(inst: Instance, snapshots: list[int] | None = None) -> tuple[int
     alternating vector +-+-..., whose delta would then be half the sum of
     its at least two lower covers' gains, so at least 2 v*.  So the
     smallest mask with delta v* is tested first, and without a tie or a
-    zero weight it is the answer.  Otherwise the rows that meet v* give
-    every mask with delta v* at once, read through the low sums' argsort,
-    and they are sorted and tested in ascending slices.
+    zero weight it is the answer.  Otherwise every mask with delta v* comes
+    at once from two searches of each row's v* - hd among the sorted low
+    sums, read through their argsort, and they are sorted and tested in
+    ascending slices.
     """
     n, c, total = inst.n, inst.c, inst.total
     h = n // 2
@@ -478,18 +518,18 @@ def _full_sweep(inst: Instance, snapshots: list[int] | None = None) -> tuple[int
             return None
         w, best = _dp_optimum(inst, snapshots)
     else:
-        halves = lows, highs, keys, i, nearest = _half_sums(c)
+        halves = lows, highs = _half_sums(c)
+        _, queries, above, _ = _meet(lows, highs)
         # negating every sign shows that v* is attained with delta +v*,
-        # which the first low sum >= -hd of that row gives: no need to look
-        # below -hd
-        best = int(abs(nearest).min())
+        # which the least sum >= 0 of that row gives: no need to look below 0
+        best = int(abs(above).min())
         if best == total & 1:
             return None
-        # A low sum in [-hd, v* - hd) would beat v*, so the masks t << h | lo
-        # with delta v* are those of the rows t whose first low sum >= -hd is
-        # v* - hd.  v* <= c[0], a low weight, so |v* - hd| <= c[0] +
-        # sum(c[h:]) <= total: no int64 overflow.
-        t = int((nearest == best).argmax())
+        # A sum in [0, v*) would beat v*, so the masks t << h | lo with delta
+        # v* are those of the rows t whose least sum >= 0 is v*.  v* <= c[0],
+        # a low weight, so |v* - hd| <= c[0] + sum(c[h:]) <= total: no int64
+        # overflow.
+        t = _first_row(highs, queries[above == best])
         w = t << h | int((lows == best - highs[t]).argmax())
     q = membership_table(n, PosetKind.Q)
     minimal = [min_element_mask(n, k) for k in range((n - 1) // 2 + 1)]
@@ -498,14 +538,16 @@ def _full_sweep(inst: Instance, snapshots: list[int] | None = None) -> tuple[int
         return w, best
     import numpy as np  # the walk, reached only with tied or zero weights
 
-    lows, highs, keys, i, nearest = halves or _half_sums(c)
-    order = lows.argsort()  # keys == lows[order]; ties in no set order: sorted below
-    rows = np.flatnonzero(nearest == best)
-    first = i[rows]
-    counts = np.searchsorted(keys, best - highs[rows], "right") - first
-    # row r's masks are those at sorted indices first[r] .. first[r] + counts[r]
+    lows, highs = halves or _half_sums(c)
+    order = lows.argsort()  # ties in no set order: sorted below
+    keys = lows.take(order)
+    # no sum lies in [0, v*), so row t's masks of delta v* are those at the
+    # sorted indices first[t] .. first[t] + counts[t] - 1 of the key v* - hd
+    targets = best - highs
+    first = np.searchsorted(keys, targets)
+    counts = np.searchsorted(keys, targets, "right") - first
     p = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
-    w = np.sort(np.repeat(rows, counts) << h | order[p])
+    w = np.sort(np.repeat(np.arange(len(highs)), counts) << h | order[p])
     q = np.frombuffer(q, dtype=bool)
     return _vectorized_walk(w[q[w]], q, minimal, moves), best
 

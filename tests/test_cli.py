@@ -460,6 +460,29 @@ PIN_FILES = {
     "uni48": "137 582 867 821 782 64 261 120 507 779 460 483 667 388 807 214 96 499 29 914 "
              "855 399 443 622 780 785 2 712 456 272 738 821 234 605 967 104 923 325 31 22 26 "
              "665 554 9 961 902 390 702",
+    # the meet in the middle's extremes: a 63-bit boundary instance at n = 24
+    # (totals near 2**63) and 40 weights of 40 bits
+    "b63_24": "302505659365508818 360128122272073797 255065101901038142 "
+              "240383068940672518 240972236215478399 273829872102283038 "
+              "195817469372235335 326976311680093326 375230872893408375 "
+              "200273130076387382 240764047652150513 333764063034388992 "
+              "336199276619431695 265337764212274700 368368880332715485 "
+              "213625643048804132 379210080868946692 382603812950389985 "
+              "201739903404578012 253756729200696606 289843432650380145 "
+              "281729379375818720 263052435033517861 364073409760503171",
+    "mitm40": "637624860618 579296031610 266424751946 731357451366 704210530849 "
+              "226191526626 838069977844 302144031077 819822280773 899541224182 "
+              "579943558587 811302922622 64982314345 221797548951 780050155796 "
+              "933986448975 59966269693 868341680853 346194743203 275365831424 "
+              "360629496511 859615398933 749527850765 574806708798 1073240385318 "
+              "447095642374 55307522961 905562290491 804515078800 368321268691 "
+              "808429122258 339963076581 571929027679 765830230992 321376287701 "
+              "860976965791 176046583165 648084117641 537774834438 568797197565",
+    # tied 30-bit weights at n = 16, beyond the DP filter: pruned's closed
+    # form leaves its first candidate unrecorded and walks the half-sum rows
+    "tie16": "6322194214 6322194214 6322194214 6322194214 6322194214 6322194214 "
+             "5791155993 5791155993 6322194214 5791155993 5791155993 6322194214 "
+             "5791155993 6322194214 5791155993 5791155993",
     # 30 weights of 40 bits, beyond pruned and the DP: auto's meet in the middle
     "mitm30": "104184211328 826339674379 294813333313 180340570947 14867171083 56876858340 "
               "884408767813 767314907615 880758768747 545561821547 617066411275 943874948300 "
@@ -507,6 +530,13 @@ CLI_SHA256 = [
     ("a52f1351af14bffe8b921e0482f34253f15ad6d7eac258b56f8a794ba93405a3",
      "solve phase21 --algo mitm --json"),
     ("2070e9a12ea599ed71bd2c75d5dcb093a4acf143b3a19f249cd4a57f277096ed", "solve mitm30 --json"),
+    ("16b047e94ba5f15d7b7d6bc61b8ae40e0945b363a705c0ab7e748c5cb09bf2df",
+     "solve b63_24 --algo mitm --json"),
+    ("08dd8f6cfa606d494e80eab64bb79efcdf75e401aed0798260cdef471a31f536",
+     "solve mitm40 --algo mitm --json"),
+    # the closed form's walk beyond the DP filter
+    ("f8e7952d77e03267d4a9d145f42bbd74d7ae69dd2dbd8f966233eb50a615f7c9",
+     "solve tie16 --algo pruned --json"),
 ]
 
 

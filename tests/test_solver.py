@@ -731,24 +731,86 @@ def test_delta_table_is_exact_near_2_62():
         assert _delta_table(c).tolist() == oracles.signed_sums(c), c
 
 
+def test_signs_are_cached_and_read_only():
+    # one shared matrix per k: row m holds mask m's signs, +1 at its set bits
+    signs = solver._signs(5)
+    assert solver._signs(5) is signs
+    assert signs.shape == (32, 5) and signs.dtype == np.int64
+    assert signs[6].tolist() == [-1, 1, 1, -1, -1]
+    with pytest.raises(ValueError):
+        signs[0, 0] = 1
+
+
+@pytest.mark.parametrize("case", ["near_2_63", "one_weight_2_62"])
+def test_delta_table_is_exact_at_length_22(case):
+    # the quarters solve_mitm builds at n = 44: 2**22 cells, each spot-checked
+    # cell equal to its signed sum over Python ints from the mask's bits
+    rng = random.Random(22)
+    if case == "near_2_63":
+        c = [rng.randrange(2**63 // 23, 2**63 // 22) for _ in range(22)]
+    else:
+        c = [rng.randrange(2**62, 2**62 + 2**61), *(rng.randrange(2**61 // 21) for _ in range(21))]
+    c = tuple(sorted(c, reverse=True))
+    assert 2**62 <= sum(c) < 2**63
+    table = _delta_table(c)
+    assert len(table) == 1 << 22
+    masks = [0, (1 << 22) - 1, *(rng.randrange(1 << 22) for _ in range(1000))]
+    for m in masks:
+        assert int(table[m]) == sum(w if m >> i & 1 else -w for i, w in enumerate(c)), (case, m)
+
+
 def test_meet_matches_outer_sums():
     # small sums give ties; a high sum hd below -6 puts every low sum below
-    # -hd, so that row's first index is len(keys) and its nearest is clipped
+    # -hd, so that row has no sum >= 0 and its ``above`` is clipped, and one
+    # above 6 leaves it no sum < 0, which clips its ``below``
     rng = np.random.default_rng(21)
     clipped = 0
     for _ in range(300):
         lows = rng.integers(-6, 7, rng.integers(1, 9))
         highs = rng.integers(-14, 15, rng.integers(1, 9))
-        keys, first, nearest = solver._meet(lows, highs)
-        assert (np.diff(keys) >= 0).all() and sorted(keys) == sorted(lows)
-        sums = np.add.outer(highs, lows)  # row t: lows + highs[t]
-        assert first.tolist() == (sums < 0).sum(axis=1).tolist()
-        for t, row in enumerate(sums):
-            if (row >= 0).any():
-                assert nearest[t] == row[row >= 0].min()
-            else:
-                clipped += 1
+        keys, queries, above, below = solver._meet(lows, highs)
+        assert keys.tolist() == sorted(lows.tolist())
+        assert queries.tolist() == sorted((-highs).tolist())
+        for q, up, down in zip(queries, above, below):
+            row = lows - q  # the sums of the row of high sum -q
+            # a clipped entry is the row's greatest or least sum
+            assert up == (row[row >= 0].min() if (row >= 0).any() else row.max())
+            assert down == (row[row < 0].max() if (row < 0).any() else row.min())
+            clipped += (row < 0).all() or (row >= 0).all()
     assert clipped > 0
+
+
+def test_first_row_finds_the_first_winning_row():
+    # one winners entry per winning row; the first of 1,000 winning rows at
+    # row 100 lies past the first slice of 8 N / w rows, so the slices double
+    cases = [(np.array([0] * 100 + [1] * 1000), np.full(1000, -1))]
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        highs = rng.integers(-9, 10, rng.integers(1, 400))
+        win = np.isin(highs, rng.choice(highs, rng.integers(1, 4)))
+        cases.append((highs, np.sort(-highs[win])))
+    for highs, winners in cases:
+        assert solver._first_row(highs, winners) == int(np.flatnonzero(np.isin(-highs, winners))[0])
+
+
+def test_pruned_walks_beyond_the_bitset_bound_like_the_naive_ascent(monkeypatch):
+    # tied and zero weights of 28-30 bits put every draw beyond the DP
+    # filter, so v* and the walk's candidates come from the half sums; the
+    # answer is still the naive ascent's, and some draws reach the walk
+    walks = _spy_walk(monkeypatch)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(3, 16), st.randoms(use_true_random=False))
+    def check(n, rng):
+        pool = [rng.randrange(1 << 27, 1 << 30) for _ in range(rng.randint(1, 3))]
+        raw = [rng.choice(pool + [0] * rng.randint(0, 1)) for _ in range(n)]
+        inst = normalize_instance(raw)
+        assert n * (inst.total + 1) > solver.SWEEP_DP_MAX_CELLS
+        sol = solve(inst, "pruned")
+        assert (sol.subset.indices, sol.delta, sol.nodes_visited) == oracles.pruned_ascent(raw)
+
+    check()
+    assert walks
 
 
 def test_mitm_examples_and_guard():
