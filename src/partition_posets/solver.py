@@ -97,7 +97,8 @@ def _meet(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, ...]:
     into ``queries``, and per sorted query its row's least sum >= 0,
     ``above``, and greatest sum < 0, ``below``.  A row with no sum >= 0
     clips ``above`` to its greatest sum and one with no sum < 0 clips
-    ``below`` to its least, so every entry is one of its row's sums.
+    ``below`` to its least, so every entry is one of its row's sums, and
+    the least |sum| of a row is the smaller of its |above| and |below|.
     Callers find a row by its query's value (``_first_row``).
 
     The queries ascend, so each search starts where the last one ended.
@@ -118,12 +119,16 @@ def _meet(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _first_row(highs: np.ndarray, winners: np.ndarray) -> int:
     """The first row t whose query -highs[t] is among the sorted
-    ``winners``, one entry per winning row.  With w of the N rows winning,
-    the first lies near row N / w, so rows are searched in slices from
-    8 N / w rows that double until one hits: one slice of every row when
-    few win, and a short one when narrow weights let most rows win."""
+    ``winners``, one entry per winning row.  When they are all one query,
+    however many rows share it, one comparison of ``highs`` against it
+    finds the row.  Otherwise, with w of the N rows winning, the first lies
+    near row N / w, so rows are searched in slices from 8 N / w rows that
+    double until one hits: one slice of every row when few win, and a
+    short one when narrow weights let most rows win."""
     import numpy as np
 
+    if winners[0] == winners[-1]:
+        return int((highs == -int(winners[0])).argmax())
     start, size = 0, 8 * len(highs) // len(winners)
     while start < len(highs):
         queries = np.negative(highs[start:start + size])
@@ -156,7 +161,6 @@ def _subset_from_mask(inst: Instance, mask: int) -> SubsetRef:
 def _make_solution(
     inst: Instance, mask: int, d: int, algorithm: str, nodes_visited: int
 ) -> Solution:
-    d = int(d)
     return Solution(
         subset=_subset_from_mask(inst, mask),
         delta=d,
@@ -276,12 +280,12 @@ def solve_mitm(inst: Instance) -> Solution:
     With h = n // 2 + 1, mask ``t << h | 2 lo + 1`` has delta ``lows[lo] +
     highs[t]``: the signed sums of weights 2..h plus the first weight, and
     those of the rest.  ``_meet`` finds each row's sums on either side of
-    0, which give the optimum v* and the sorted queries -hd of the rows
-    that meet it; ``_first_row`` searches the rows' -hd among those for
-    the first row t, and the smallest mask reaching v* lies in it, at the
-    smallest low mask of sum v* - hd or -v* - hd.  ``nodes_visited``
-    counts the half sums built.  Capped at n = 44, where a call peaks near
-    145 MB of arrays.
+    0; the least of their absolute values, taken in place, is the optimum
+    v*, and one comparison picks the sorted queries -hd of the rows that
+    meet it.  ``_first_row`` finds the first such row t, and the smallest
+    mask reaching v* lies in it, at the first low mask with |lows + hd| =
+    v*.  ``nodes_visited`` counts the half sums built.  Capped at n = 44,
+    where a call peaks near 145 MB of arrays.
     """
     n, c = inst.n, inst.c
     if n > 44:
@@ -293,16 +297,19 @@ def solve_mitm(inst: Instance) -> Solution:
     lows += c[0]
     highs = _delta_table(c[h:])
     keys, queries, above, below = _meet(lows, highs)
-    # in place: a row meets v* when |above| or |below| is v*; the kernel's
+    # in place: each row's least |sum| lands in ``above``; the kernel's
     # arrays are freed before the row search allocates its own
-    best = min(int(np.abs(above, out=above).min()), int(np.abs(below, out=below).min()))
-    winners = queries[(above == best) | (below == best)]
-    del keys, queries, above, below
-    # v* <= c[0], so |v* - hd| <= c[0] + sum(c[h:]) <= total: no overflow
+    least = np.minimum(np.abs(above, out=above), np.abs(below, out=below), out=above)
+    best = int(least.min())
+    winners = queries[least == best]
+    del keys, queries, above, below, least
     t = _first_row(highs, winners)
     hd = int(highs[t])
-    lo = int(np.argmax((lows == best - hd) | (lows == -best - hd)))
-    return _make_solution(inst, t << h | 2 * lo + 1, lows[lo] + hd, "mitm", len(lows) + len(highs))
+    # each lows + hd is a signed sum of all the weights, so no int64 overflow
+    sums = lows + hd
+    lo = int((np.abs(sums, out=sums) == best).argmax())
+    d = int(lows[lo]) + hd
+    return _make_solution(inst, t << h | 2 * lo + 1, d, "mitm", len(lows) + len(highs))
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,19 @@ PIN_FILES = {
               "447095642374 55307522961 905562290491 804515078800 368321268691 "
               "808429122258 339963076581 571929027679 765830230992 321376287701 "
               "860976965791 176046583165 648084117641 537774834438 568797197565",
+    # a seeded 63-bit boundary draw at n = 17 (total in [2**62, 2**63)) that
+    # auto answers with the meet in the middle, where one query meets v*
+    "b63_17s": "315315501623614189 382719498754025122 311074729217170908 "
+              "313340068293999126 420717074134395060 499835390277975440 "
+              "516414236895166031 454829767218925436 317000887344882229 "
+              "313410988147831872 389600182284803526 355935134653839890 "
+              "462241705098736499 324764780431117271 507164875415992306 "
+              "523539114127702837 480805922201003934",
+    # 34 weights of 12 bits: every one of the 65,536 half-sum rows meets v*,
+    # so the row search runs its doubling slices
+    "narrow34": "2166 1462 2399 113 3454 939 3680 122 3613 1593 1493 3909 3886 264 1737 "
+                "3913 1254 1397 387 2392 2095 3369 634 395 1123 1421 2500 6 3180 634 "
+                "3082 2145 353 3281",
     # tied 30-bit weights at n = 16, beyond the DP filter: pruned's closed
     # form leaves its first candidate unrecorded and walks the half-sum rows
     "tie16": "6322194214 6322194214 6322194214 6322194214 6322194214 6322194214 "
@@ -534,6 +547,9 @@ CLI_SHA256 = [
      "solve b63_24 --algo mitm --json"),
     ("08dd8f6cfa606d494e80eab64bb79efcdf75e401aed0798260cdef471a31f536",
      "solve mitm40 --algo mitm --json"),
+    ("6e9454bb20194a6feb3148443e2de513c27c0b9769bfc865e596cb9b4f23f781", "solve b63_17s --json"),
+    ("3a2a618e8c3689d11db6391954c1bc3fbee284fd734c393ed2e85cf3bcb0cfc6",
+     "solve narrow34 --algo mitm --json"),
     # the closed form's walk beyond the DP filter
     ("f8e7952d77e03267d4a9d145f42bbd74d7ae69dd2dbd8f966233eb50a615f7c9",
      "solve tie16 --algo pruned --json"),

@@ -784,6 +784,13 @@ def test_first_row_finds_the_first_winning_row():
     # one winners entry per winning row; the first of 1,000 winning rows at
     # row 100 lies past the first slice of 8 N / w rows, so the slices double
     cases = [(np.array([0] * 100 + [1] * 1000), np.full(1000, -1))]
+    # one winning query, met by one comparison of the rows against it: in
+    # the first row, in the last, and shared by several rows, of which the
+    # first is returned
+    distinct = np.arange(-50, 50) * 7
+    cases += [(distinct, np.array([-distinct[0]])), (distinct, np.array([-distinct[-1]]))]
+    shared = np.array([5, -3, 8, -3, 0, -3, 8])
+    cases += [(shared, np.full(3, 3)), (shared, np.full(2, -8)), (shared, np.array([-5]))]
     rng = np.random.default_rng(7)
     for _ in range(300):
         highs = rng.integers(-9, 10, rng.integers(1, 400))
@@ -791,6 +798,8 @@ def test_first_row_finds_the_first_winning_row():
         cases.append((highs, np.sort(-highs[win])))
     for highs, winners in cases:
         assert solver._first_row(highs, winners) == int(np.flatnonzero(np.isin(-highs, winners))[0])
+    assert solver._first_row(shared, np.full(3, 3)) == 1
+    assert solver._first_row(shared, np.full(2, -8)) == 2
 
 
 def test_pruned_walks_beyond_the_bitset_bound_like_the_naive_ascent(monkeypatch):
@@ -839,6 +848,37 @@ MITM_FAMILIES = {
 def _same_as_brute(inst):
     got, ref = solve_mitm(inst), solve_brute(inst)
     return (got.subset, got.delta, got.abs_delta) == (ref.subset, ref.delta, ref.abs_delta)
+
+
+def test_mitm_matches_brute_with_one_or_many_winning_queries(monkeypatch):
+    # phase weights leave v* to one query (one high sum, though rows may
+    # share it): _first_row answers with one comparison; narrow and tied
+    # weights let many distinct queries meet v*, which the doubling slices
+    # search.  Either way solve_mitm gives brute's subset and delta
+    paths = []
+    first_row = solver._first_row
+
+    def spy(highs, winners):
+        paths.append("one" if winners[0] == winners[-1] else "slices")
+        return first_row(highs, winners)
+
+    monkeypatch.setattr(solver, "_first_row", spy)
+    rng = random.Random(2029)
+    for n in range(2, 21):
+        draws = {
+            "phase": [rng.randrange(1, 1 << (n + 4)) for _ in range(n)],
+            "narrow": [rng.randrange(1, 16) for _ in range(n)],
+            "tied": [rng.choice((0, 6, 6, 10)) for _ in range(n)],
+        }
+        for name, raw in draws.items():
+            paths.clear()
+            inst = normalize_instance(raw)
+            assert _same_as_brute(inst), (name, raw)
+            assert len(paths) == 1, name
+            if name == "phase" and n >= 12:
+                assert paths == ["one"], raw
+            if name != "phase" and n >= 12:
+                assert paths == ["slices"], (name, raw)
 
 
 @settings(max_examples=200, deadline=None)
