@@ -291,7 +291,9 @@ def cover_moves(n: int) -> tuple[tuple[int, int], ...]:
     2 << j) maps u to u - 2**j; the addition at the last entry (flip
     2**(n - 1), low 0) maps u to u + 2**(n - 1).  The swaps come first, for
     j descending, then the addition, so one mask's covers come in ascending
-    order.
+    order, as ``upper_covers`` and ``build_hasse`` list them.
+    ``solver.solve_pruned``'s ascent reads the moves reversed, the addition
+    and then the swaps for j ascending, so in descending order.
     """
     return tuple((3 << j, 2 << j) for j in range(n - 2, -1, -1)) + ((1 << n - 1, 0),)
 

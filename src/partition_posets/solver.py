@@ -344,9 +344,11 @@ def solve_pruned(inst: Instance) -> Solution:
     recorded value equal to that parity is optimal and stops the search
     early.  The frontier pops least-negative delta first (ties by smaller
     mask), which reaches the nonnegative boundary quickly; any processing
-    order gives the same value.  Each popped node offers its addition cover,
-    then its swap covers in ascending bit order, and ``nodes_visited`` counts
-    pops plus nonnegative minimal elements.
+    order gives the same value.  Each popped node offers its covers in the
+    reverse of ``core.cover_moves``' order, the addition and then the swaps
+    by ascending bit, which is descending mask order: of two covers of one
+    node that both reach the parity, the larger mask is the answer.
+    ``nodes_visited`` counts pops plus nonnegative minimal elements.
 
     Without the parity stop the ascent pops every negative element of Q(n),
     exactly half of it, so ``_full_sweep`` answers first in closed form
@@ -366,17 +368,18 @@ def solve_pruned(inst: Instance) -> Solution:
     swept = _full_sweep(inst)
     if swept is not None:
         return _closed_form_solution(inst, swept, minimal_deltas)
-    c = inst.c
     parity = inst.total & 1
     full = (1 << n) - 1
-    top_bit = 1 << (n - 1)
-    swap_zone = top_bit - 1
     # A heap key is (-d << n) | mask, which pops in the order of (-d, mask)
-    # tuples because mask < 2**n.  A cover shifts the mask (the addition by
-    # +top_bit, the swap at bits (b, 2b) by -b) and raises delta by a fixed
-    # gain, so its key is the parent's plus a constant step per cover.
-    add_step = top_bit - (2 * c[n - 1] << n)
-    swap_step = {1 << i: -(1 << i) - (2 * (c[i] - c[i + 1]) << n) for i in range(n - 1)}
+    # tuples because mask < 2**n.  A move of ``_cover_gains`` sets bit b =
+    # flip ^ low and clears bit 2b (for the addition, low 0, the bit above
+    # the mask), so it applies where b is set in ~mask & (mask >> 1 |
+    # top_bit) and maps mask to mask - b mod 2**n: ``fresh`` has 2**n
+    # entries, so the addition's negative index wraps.  Its cover's key is
+    # the parent's plus steps[b], the move's shift and gain.
+    top_bit = 1 << (n - 1)
+    steps = {flip ^ low: (flip ^ low) - low - (gain << n)
+             for flip, low, gain in _cover_gains(inst.c)}
     fresh = bytearray(membership_table(n, PosetKind.Q))  # in Q(n) and not reached yet
     visited = 0
     heap: list[int] = []
@@ -390,34 +393,24 @@ def solve_pruned(inst: Instance) -> Solution:
         visited += 1
         if d == parity:
             return _make_solution(inst, mask, d, "pruned", visited)
-    # Each popped node offers its addition cover, then its swap covers in
-    # ascending bit order; a cover key above `full` has negative delta, and
-    # the first recorded key of delta `parity` is the answer.
+    # a cover key above `full` has negative delta, and the first recorded
+    # key of delta `parity` is the answer
     while heap:
         key = pop(heap)
         visited += 1
         mask = key & full
-        if not mask & top_bit:
-            w = mask | top_bit
-            if fresh[w]:
-                fresh[w] = 0
-                wkey = key + add_step
-                if wkey > full:
-                    push(heap, wkey)
-                elif -(wkey >> n) == parity:
-                    return _make_solution(inst, w, parity, "pruned", visited)
-        pat = ~mask & (mask >> 1) & swap_zone
-        while pat:
-            b = pat & -pat
+        pat = ~mask & (mask >> 1 | top_bit)
+        b = pat & top_bit or pat & -pat  # the addition, then ascending swaps
+        while b:
             pat ^= b
-            w = mask - b
-            if fresh[w]:
+            if fresh[w := mask - b]:
                 fresh[w] = 0
-                wkey = key + swap_step[b]
+                wkey = key + steps[b]
                 if wkey > full:
                     push(heap, wkey)
                 elif -(wkey >> n) == parity:
-                    return _make_solution(inst, w, parity, "pruned", visited)
+                    return _make_solution(inst, w & full, parity, "pruned", visited)
+            b = pat & -pat
     raise AssertionError("the ascent ended without its parity stop")
 
 
@@ -430,25 +423,21 @@ def _closed_form_solution(inst: Instance, swept: tuple[int, int], deltas: list[i
     return _make_solution(inst, *swept, "pruned", q_size(inst.n) // 2 + nonneg_minimal)
 
 
-def _negative_lower_covers(c: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The cover moves of positive delta gain, as (flip, bit) pairs: a mask
-    w with w & flip == bit has the lower cover w ^ flip, whose delta is
-    negative when w's is the optimum v*.  A move of ``cover_moves`` sets
-    bit flip ^ low and clears bit low (none for the addition), so its gain
-    is twice the difference of those two bits' weights.
-
-    v* is the least |delta| over all of P(n), so a lower cover of a mask
-    with delta v* has delta v* (gain 0) or at most -v* (gain at least
-    2 v*): on those masks a positive gain means a negative lower cover."""
+def _cover_gains(c: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """``cover_moves(len(c))`` as (flip, low, gain) triples: a mask u with
+    u & flip == low is covered by u ^ flip, which sets bit flip ^ low and
+    clears bit low (none for the addition), so its delta is delta(u) +
+    gain, twice the difference of those two bits' weights."""
     weight = (0, *c)  # weight[b.bit_length()] is one-bit mask b's weight, 0 for b = 0
-    return [(flip, flip ^ low) for flip, low in cover_moves(len(c))
-            if weight[(flip ^ low).bit_length()] > weight[low.bit_length()]]
+    return [(flip, low, 2 * (weight[(flip ^ low).bit_length()] - weight[low.bit_length()]))
+            for flip, low in cover_moves(len(c))]
 
 
 def _recorded(w: int, q: bytes, minimal: list[int], moves: list[tuple[int, int]]) -> bool:
     """Whether the full ascent records mask w of delta v*: w is in Q(n)
     (``q``, the Q(n) membership table) and is minimal or has a lower
-    cover in Q(n) through one of ``moves``, from ``_negative_lower_covers``."""
+    cover in Q(n) through one of ``moves``, (flip, flip ^ low) pairs of
+    the ``_cover_gains`` of positive gain."""
     return q[w] and (w in minimal or any(w & f == b and q[w ^ f] for f, b in moves))
 
 
@@ -540,7 +529,9 @@ def _full_sweep(inst: Instance, snapshots: list[int] | None = None) -> tuple[int
         w = t << h | int((lows == best - highs[t]).argmax())
     q = membership_table(n, PosetKind.Q)
     minimal = [min_element_mask(n, k) for k in range((n - 1) // 2 + 1)]
-    moves = _negative_lower_covers(c)
+    # on masks of delta v*, exactly the moves of positive gain reach a
+    # negative lower cover
+    moves = [(flip, flip ^ low) for flip, low, gain in _cover_gains(c) if gain > 0]
     if _recorded(w, q, minimal, moves):
         return w, best
     import numpy as np  # the walk, reached only with tied or zero weights

@@ -127,8 +127,10 @@ def test_q_lower_covers_and_complement_lemma():
         has_lower = strict.any(axis=0)
         top_bit = 1 << (n - 1)
         for j, w in enumerate(idx.tolist()):
-            # the lower covers as solve_pruned spells them: the addition
-            # undone, and each swap undone at bits (i, i + 1) holding (1, 0)
+            # the lower covers spelled on bits, independently of
+            # core.cover_moves (the one encoding, which lower_covers reads):
+            # the addition undone, and each swap undone at bits (i, i + 1)
+            # holding (1, 0)
             downs = [w ^ top_bit] if w & top_bit else []
             downs += [w + (1 << i) for i in range(n - 1) if (w >> i) & 3 == 1]
             assert sorted(downs) == sorted(v.mask for v in lower_covers(SignVector(n, w)))

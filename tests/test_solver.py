@@ -32,6 +32,7 @@ from partition_posets import (
     solve_q_enum,
 )
 from partition_posets import solver
+from partition_posets.core import cover_moves
 from partition_posets.poset import q_membership_table
 from partition_posets.solver import _delta_table
 
@@ -466,6 +467,65 @@ def test_pruned_matches_naive_ascent_on_ties_property(n, rng):
     assert (sol.subset.indices, sol.delta, sol.nodes_visited) == oracles.pruned_ascent(raw)
 
 
+def _perfect_ties(rng, n):
+    # pools of 2-4 small weights, redrawn until the draw is perfect and no
+    # minimal element has the parity's delta: the ascent reaches its parity
+    # stop through covers, often at a node with two covers that reach it
+    while True:
+        pool = rng.sample(range(1, 13), rng.randint(2, 4))
+        raw = [rng.choice(pool) for _ in range(n)]
+        inst = normalize_instance(raw)
+        if solve_dp(inst).abs_delta == inst.total % 2 not in solver._minimal_deltas(inst):
+            return raw
+
+
+def test_pruned_matches_naive_ascent_on_perfect_ties():
+    # the order of a node's covers decides which of two parity-reaching
+    # covers is the answer: the addition first, then the swaps by ascending
+    # bit.  The three other orders with sorted swaps each change some drawn
+    # answers, and pinned ones: the swaps by descending bit before the
+    # addition (all three), the swaps by ascending bit before it (the last
+    # two), or after it (the first)
+    pinned = [
+        ([5, 7, 5, 7, 9, 5], ((1, 3, 5), 0, 2)),
+        ([10, 10, 4, 2, 2, 4, 4, 10, 10], ((3, 4, 5, 8, 9), 0, 3)),
+        ([2, 6, 11, 8, 6, 6, 11, 11], ((1, 2, 5, 6, 8), 1, 2)),
+    ]
+    rng = random.Random(31)
+    drawn = [(_perfect_ties(rng, n), None) for n in range(5, 13) for _ in range(100)]
+    for raw, expected in pinned + drawn:
+        sol = solve_pruned(normalize_instance(raw))
+        got = (sol.subset.indices, sol.delta, sol.nodes_visited)
+        assert got == oracles.pruned_ascent(raw) and expected in (None, got), raw
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 16), st.randoms(use_true_random=False))
+def test_cover_gains_are_the_covers_delta_steps(n, rng):
+    # each move's gain is delta(u ^ flip) - delta(u) on every mask u it applies to
+    # up to 16 weights below 2**58: the total stays below 2**63
+    inst = normalize_instance([rng.choice((0, rng.randrange(1 << rng.randint(1, 58)))) for _ in range(n)])
+    gains = solver._cover_gains(inst.c)
+    assert [(flip, low) for flip, low, _ in gains] == list(cover_moves(n))
+    for flip, low, gain in gains:
+        for _ in range(20):
+            u = rng.randrange(1 << n) & ~flip | low
+            assert delta(SignVector(n, u ^ flip), inst) - delta(SignVector(n, u), inst) == gain
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_ascent_move_index_matches_cover_moves(n):
+    # solve_pruned's ascent picks a mask's covers by the bit b = flip ^ low
+    # each move sets: they apply where b is set in ~mask & (mask >> 1 |
+    # top_bit), and each maps mask to mask - b mod 2**n
+    top_bit = 1 << (n - 1)
+    for mask in range(1 << n):
+        pat = ~mask & (mask >> 1 | top_bit)
+        applying = {flip ^ low: mask ^ flip for flip, low in cover_moves(n) if mask & flip == low}
+        assert {b: (mask - b) % (1 << n) for b in applying} == applying
+        assert sum(applying) == pat
+
+
 @pytest.mark.parametrize("n", range(17, 23))
 def test_pruned_int64_headroom(n, monkeypatch):
     # totals just below 2**63 without a certificate: the closed-form sweep's
@@ -812,7 +872,8 @@ def test_pruned_walks_beyond_the_bitset_bound_like_the_naive_ascent(monkeypatch)
     @given(st.integers(3, 16), st.randoms(use_true_random=False))
     def check(n, rng):
         pool = [rng.randrange(1 << 27, 1 << 30) for _ in range(rng.randint(1, 3))]
-        raw = [rng.choice(pool + [0] * rng.randint(0, 1)) for _ in range(n)]
+        # the first weight comes from the pool alone, so the total is never 0
+        raw = [rng.choice(pool)] + [rng.choice(pool + [0] * rng.randint(0, 1)) for _ in range(n - 1)]
         inst = normalize_instance(raw)
         assert n * (inst.total + 1) > solver.SWEEP_DP_MAX_CELLS
         sol = solve(inst, "pruned")
