@@ -12,6 +12,8 @@ order.
 from __future__ import annotations
 
 import heapq
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress
@@ -35,7 +37,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 # numpy is imported inside the functions that build delta tables or search
-# half sums; core's Q(n) table is bytes, so DP-sized solves run without it
+# half sums; core's Q(n) table is bytes, so DP-sized solves run without it,
+# and so does a process's first meet in the middle at n <= TABLE_MAX_N
 
 BRUTE_MAX_N = 24  # brute's run time; Q(n) solvers stop at core.TABLE_MAX_N
 DP_MAX_CELLS = 10**8
@@ -272,6 +275,42 @@ def solve_dp(inst: Instance, *, snapshots: list[int] | None = None) -> Solution:
     return _make_solution(inst, *_dp_optimum(inst, snapshots), "dp", cells)
 
 
+def _signed_sums(c: tuple[int, ...], base: int) -> list[int]:
+    """``_delta_table(c) + base`` as a list of ints, by doubling: entry m
+    takes weight i + where bit i of m is set."""
+    sums = [base - sum(c)]
+    for w in c:
+        sums += [s + 2 * w for s in sums]
+    return sums
+
+
+def _pure_mitm(inst: Instance) -> Solution:
+    """``solve_mitm``'s meet in pure Python, with its exact ``Solution``.
+    Row t's least |sum| is read beside one ``bisect`` of its query -hd
+    among the sorted low sums, between sentinels beyond every |delta|; the
+    first row that meets v* holds the smallest mask, at its first low sum
+    of |delta| v*."""
+    n, c = inst.n, inst.c
+    h = n // 2 + 1
+    lows = _signed_sums(c[1:h], c[0])
+    highs = _signed_sums(c[h:], 0)
+    edge = 2 * inst.total + 1
+    keys = [-edge, *sorted(lows), edge]
+    best, t = edge, 0
+    for row, hd in enumerate(highs):
+        j = bisect_left(keys, -hd)
+        least = min(keys[j] + hd, -hd - keys[j - 1])
+        if least < best:
+            best, t = least, row
+    hd = highs[t]
+    lo = min(lows.index(v - hd) for v in (best, -best) if v - hd in lows)
+    return _make_solution(inst, t << h | 2 * lo + 1, lows[lo] + hd, "mitm",
+                          len(lows) + len(highs))
+
+
+_meet_ran = False  # whether this process has called solve_mitm
+
+
 def solve_mitm(inst: Instance) -> Solution:
     """Meet in the middle (Horowitz & Sahni) over the 2^(n-1) sign patterns
     whose first entry is +1, with ``brute``'s answer: the least |delta|,
@@ -286,10 +325,20 @@ def solve_mitm(inst: Instance) -> Solution:
     mask reaching v* lies in it, at the first low mask with |lows + hd| =
     v*.  ``nodes_visited`` counts the half sums built.  Capped at n = 44,
     where a call peaks near 145 MB of arrays.
+
+    The first call of a process that has not imported numpy runs
+    ``_pure_mitm`` instead at n <= TABLE_MAX_N, where numpy's import
+    (about 70 ms) outweighs the whole search: a one-instance process never
+    loads it, and a long-running one pays it at its second meet.  Both
+    kernels give the same ``Solution``, so only timing depends on which ran.
     """
+    global _meet_ran
     n, c = inst.n, inst.c
     if n > 44:
         raise TooLarge("meet in the middle is capped at n = 44")
+    first, _meet_ran = not _meet_ran, True
+    if first and n <= TABLE_MAX_N and "numpy" not in sys.modules:
+        return _pure_mitm(inst)
     import numpy as np
 
     h = n // 2 + 1

@@ -486,6 +486,12 @@ PIN_FILES = {
               "313410988147831872 389600182284803526 355935134653839890 "
               "462241705098736499 324764780431117271 507164875415992306 "
               "523539114127702837 480805922201003934",
+    # a seeded phase draw at n = 24 (weights of 28 bits, random.Random(24)):
+    # the largest instance whose auto meet a fresh process runs in pure Python
+    "phase24": "191218115 102773377 225432026 156438478 49014138 58590920 267974454 "
+               "44917206 52102110 45465913 180089785 182979336 24638781 189484631 "
+               "203403472 268098055 40614354 216461970 189667016 76066971 194467885 "
+               "247545755 205606202 3412260",
     # 34 weights of 12 bits: every one of the 65,536 half-sum rows meets v*,
     # so the row search runs its doubling slices
     "narrow34": "2166 1462 2399 113 3454 939 3680 122 3613 1593 1493 3909 3886 264 1737 "
@@ -548,6 +554,7 @@ CLI_SHA256 = [
     ("08dd8f6cfa606d494e80eab64bb79efcdf75e401aed0798260cdef471a31f536",
      "solve mitm40 --algo mitm --json"),
     ("6e9454bb20194a6feb3148443e2de513c27c0b9769bfc865e596cb9b4f23f781", "solve b63_17s --json"),
+    ("e23b8d9769fb1ff4e7d39c6b19020669042f5014dd1df78a87c02d919ca31811", "solve phase24 --json"),
     ("3a2a618e8c3689d11db6391954c1bc3fbee284fd734c393ed2e85cf3bcb0cfc6",
      "solve narrow34 --algo mitm --json"),
     # the closed form's walk beyond the DP filter

@@ -2,7 +2,8 @@
 
 numpy and ``partition_posets.poset`` are imported only by the paths that
 build numpy tables: DAGs, checks, delta tables and half sums.  The Q(n)
-membership table is pure Python.  The import graph is checked in fresh
+membership table is pure Python, and so is a numpy-free process's first
+meet in the middle at n <= 24.  The import graph is checked in fresh
 interpreters, since this test process has long since loaded both.
 """
 
@@ -41,14 +42,19 @@ print(json.dumps({"loaded": loaded, "code": code, "out": out.getvalue()}))
 """ % (TABLE_MODULES,)
 
 
+def _run_fresh(script: str, *argv: str):
+    """The JSON that ``script`` prints, run in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
 def _probe(*argv: str) -> tuple[list[str], str]:
     """Table modules loaded by ``cli.main(argv)`` in a fresh interpreter, and
     its output; importing the package and the command line loads none."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    result = json.loads(proc.stdout)
+    result = _run_fresh(PROBE, *argv)
     assert result["code"] == 0, result
     assert result["loaded"]["package"] == result["loaded"]["cli"] == []
     return result["loaded"]["main"], result["out"]
@@ -106,8 +112,9 @@ def test_dp_sized_pruned_solves_load_no_tables(tmp_path, weights, abs_delta):
 def test_table_commands_load_numpy_and_poset(tmp_path):
     loaded, out = _probe("hasse", "5")
     assert out.startswith('digraph "Q5"') and loaded == TABLE_MODULES
-    # beyond SWEEP_DP_MAX_CELLS, pruned's v* comes from the half-sum kernel,
-    # and auto answers with the meet in the middle
+    # beyond SWEEP_DP_MAX_CELLS, pruned's v* comes from the half-sum kernel;
+    # auto answers with the meet in the middle, whose first call in a
+    # numpy-free process runs in pure Python at n <= 24
     weights = [13 * 10**6, 8 * 10**6, 5 * 10**6, 3 * 10**6, 10**6]
     assert len(weights) * (sum(weights) + 1) > solver.SWEEP_DP_MAX_CELLS
     loaded, out = _probe(*_solve_argv(tmp_path, weights, "--algo", "pruned"))
@@ -115,7 +122,26 @@ def test_table_commands_load_numpy_and_poset(tmp_path):
     assert (result["algo"], result["abs_delta"], loaded) == ("pruned", 2 * 10**6, ["numpy"])
     loaded, out = _probe(*_solve_argv(tmp_path, weights))
     result = json.loads(out)
-    assert (result["algo"], result["abs_delta"], loaded) == ("mitm", 2 * 10**6, ["numpy"])
+    assert (result["algo"], result["abs_delta"], loaded) == ("mitm", 2 * 10**6, [])
+
+
+# two meets of wide weights at n = 24 in one process: numpy is loaded
+# after the second, so a long-running process keeps the numpy kernel
+TWO_MEETS = """
+import json, random, sys
+from partition_posets import normalize_instance, solve
+rng = random.Random(24)
+loaded, answers = [], []
+for _ in range(2):
+    sol = solve(normalize_instance([rng.getrandbits(30) for _ in range(24)]))
+    answers.append(sol.algorithm)
+    loaded.append("numpy" in sys.modules)
+print(json.dumps({"answers": answers, "loaded": loaded}))
+"""
+
+
+def test_only_the_first_meet_of_a_process_skips_numpy():
+    assert _run_fresh(TWO_MEETS) == {"answers": ["mitm", "mitm"], "loaded": [False, True]}
 
 
 # ---------------------------------------------------------------------------

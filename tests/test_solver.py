@@ -907,15 +907,20 @@ MITM_FAMILIES = {
 
 
 def _same_as_brute(inst):
+    # this process has imported numpy, so solve_mitm runs the numpy kernel;
+    # the pure kernel, which a numpy-free process's first meet runs, is
+    # called directly and must give the same Solution
     got, ref = solve_mitm(inst), solve_brute(inst)
-    return (got.subset, got.delta, got.abs_delta) == (ref.subset, ref.delta, ref.abs_delta)
+    return solver._pure_mitm(inst) == got and (
+        (got.subset, got.delta, got.abs_delta) == (ref.subset, ref.delta, ref.abs_delta))
 
 
 def test_mitm_matches_brute_with_one_or_many_winning_queries(monkeypatch):
     # phase weights leave v* to one query (one high sum, though rows may
     # share it): _first_row answers with one comparison; narrow and tied
     # weights let many distinct queries meet v*, which the doubling slices
-    # search.  Either way solve_mitm gives brute's subset and delta
+    # search.  Either way solve_mitm, and the pure kernel, give brute's
+    # subset and delta
     paths = []
     first_row = solver._first_row
 
@@ -948,9 +953,12 @@ def test_mitm_matches_brute_with_one_or_many_winning_queries(monkeypatch):
     st.integers(1, 20),
     st.randoms(use_true_random=False),
 )
+@example("phase", 1, random.Random(1))
+@example("bits63", 2, random.Random(2))
+@example("ties_zeros", 2, random.Random(3))
 def test_mitm_matches_brute_property(family, n, rng):
     # brute's subset, ties to the smallest mask included, on ties, zeros and
-    # 63-bit weights
+    # 63-bit weights, from both kernels
     inst = normalize_instance(MITM_FAMILIES[family](rng, n))
     assert _same_as_brute(inst), (family, inst.c)
 
