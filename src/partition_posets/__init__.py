@@ -6,9 +6,11 @@ their structural properties exactly, and solves the optimization version of
 the partition problem through candidate reduction over that subposet.
 
 The names from ``poset``, whose module imports numpy, are loaded on first
-access.  The Q(n) table comes from ``core`` as bytes, so importing the
-package, solving with a certificate, the DP or a DP-sized ``pruned`` call,
-and counting rank profiles do not import numpy.
+access.  The Q(n) table comes from ``core`` as bytes, and so does the
+longest-chain height that ``profile`` cross-checks, so importing the
+package, solving with a certificate, the DP, a DP-sized ``pruned`` call or
+a fresh process's first meet at n <= 24, and profiling ranks and heights do
+not import numpy.
 """
 
 from types import ModuleType as _ModuleType

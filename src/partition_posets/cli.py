@@ -16,15 +16,16 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import counting, solver
-from .core import PosetKind, normalize_instance
+from .core import PosetKind, longest_chain, normalize_instance
 from .errors import EmptyInput, Overflow, ParseError, PartitionPosetsError
 
 if TYPE_CHECKING:
     from .poset import HasseDag
 
 # .poset and numpy are imported by the commands that build numpy tables
-# (hasse, verify, and profile's DAG cross-check), so solve and profile start
-# without them; solve imports numpy only for its delta tables and half sums
+# (hasse and verify), so solve and profile start without them; profile's
+# height cross-check (n <= 12) is core's pure-Python longest chain, and
+# solve imports numpy only for its delta tables and half sums
 
 
 def read_instance_file(path: str) -> list[int]:
@@ -102,11 +103,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         size = counting.q_size(n)
         height = counting.height_formula(n, kind) if n >= 3 else None
     checks = counting.profile_checks(profile)
-    height_dag = None
-    if n <= 12 and size > 0:
-        from . import poset
-
-        height_dag = poset.poset_height(poset.build_hasse(n, kind))
+    height_dag = longest_chain(n, kind) if n <= 12 and size > 0 else None
     payload = {
         "poset": kind.value,
         "n": n,

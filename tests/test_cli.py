@@ -560,6 +560,11 @@ CLI_SHA256 = [
     # the closed form's walk beyond the DP filter
     ("f8e7952d77e03267d4a9d145f42bbd74d7ae69dd2dbd8f966233eb50a615f7c9",
      "solve tie16 --algo pruned --json"),
+    # the height cross-check's largest n, and the counting cap
+    ("2d5bd67e760bf2923add998aac6341201f39688d29267a3a9cb2724585e7bd3f", "profile 12 --json"),
+    ("838c28815fcf2ffee4ea108f5922a21e590406f035549cdc090da5e6556fde2f",
+     "profile 12 --poset P --json"),
+    ("25795c7bc9feb0d149dcd1960917869e8dfeeb9fd9c1c2f611bd5eb57f2ae1c3", "profile 120 --json"),
 ]
 
 

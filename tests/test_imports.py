@@ -2,9 +2,10 @@
 
 numpy and ``partition_posets.poset`` are imported only by the paths that
 build numpy tables: DAGs, checks, delta tables and half sums.  The Q(n)
-membership table is pure Python, and so is a numpy-free process's first
-meet in the middle at n <= 24.  The import graph is checked in fresh
-interpreters, since this test process has long since loaded both.
+membership table is pure Python, and so are ``profile``'s height
+cross-check and a numpy-free process's first meet in the middle at
+n <= 24.  The import graph is checked in fresh interpreters, since this
+test process has long since loaded both.
 """
 
 import importlib
@@ -70,9 +71,16 @@ def test_imports_load_no_tables():
     assert _probe() == ([], "")
 
 
-def test_profile_loads_no_tables():
-    loaded, out = _probe("profile", "120")
-    assert f"size: {2**120 - 2 * math.comb(120, 60)}\n" in out
+# up to n = 12 the height is cross-checked on core's pure-Python longest chain
+PROFILE_SIZES = [("profile 1 --poset P", 2), ("profile 3", 2), ("profile 12", 2248),
+                 ("profile 12 --poset P", 4096),
+                 ("profile 120", 2**120 - 2 * math.comb(120, 60))]
+
+
+@pytest.mark.parametrize("args, size", PROFILE_SIZES, ids=[args for args, _ in PROFILE_SIZES])
+def test_profile_loads_no_tables(args, size):
+    loaded, out = _probe(*args.split())
+    assert f"size: {size}\n" in out
     assert loaded == []
 
 

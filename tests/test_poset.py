@@ -37,7 +37,7 @@ from partition_posets import (
     verify_structure,
     width_value,
 )
-from partition_posets import poset
+from partition_posets import core, poset
 
 import oracles
 
@@ -383,13 +383,27 @@ def test_forced_hasse_stops_at_the_table_cap(kind):
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_heights_match_formulas(n):
-    # every buildable size: P(1..14) and Q(3..16)
+    # every buildable size: P(1..14) and Q(3..16); core's pure-Python
+    # longest chain (profile's cross-check) agrees with the DAG's height
     from partition_posets import height_formula
 
     if n <= 14:
-        assert poset_height(build_hasse(n, PosetKind.P)) == height_formula(n, PosetKind.P)
-    if n >= 3:
-        assert poset_height(build_hasse(n, PosetKind.Q)) == height_formula(n, PosetKind.Q)
+        height = poset_height(build_hasse(n, PosetKind.P))
+        assert height == core.longest_chain(n, PosetKind.P) == height_formula(n, PosetKind.P)
+    height = poset_height(build_hasse(n, PosetKind.Q))
+    assert height == core.longest_chain(n, PosetKind.Q)
+    assert height == (height_formula(n, PosetKind.Q) if n >= 3 else 0)
+
+
+def test_longest_chain_guards():
+    assert core.longest_chain(1, PosetKind.P) == 2
+    with pytest.raises(TooSmall):
+        core.longest_chain(0, PosetKind.P)
+    for kind in (PosetKind.P, PosetKind.Q):
+        with pytest.raises(TooLarge, match="stop at n = 24"):
+            core.longest_chain(25, kind)
+    with pytest.raises(ValueError):
+        core.longest_chain(4, PosetKind.R_PLUS)
 
 
 @pytest.mark.parametrize(
