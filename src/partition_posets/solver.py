@@ -56,8 +56,9 @@ class Solution:
     the meet in the middle.  For the DP oracle it is the table size
     n * (total + 1), not the cells filled: the build stops at the first
     prefix that reaches ceil(total/2).  For the pruned ascent it counts
-    heap pops plus the nonnegative minimal elements; a full sweep answered
-    in closed form counts as its |Q(n)|/2 pops.
+    heap pops plus the nonnegative minimal elements; its closed form, one
+    answer that "auto" and "pruned" share, counts a full sweep's |Q(n)|/2
+    pops.
     """
 
     subset: SubsetRef
@@ -96,16 +97,16 @@ def _delta_table(c: tuple[int, ...]) -> np.ndarray:
 def _meet(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, ...]:
     """Horowitz & Sahni's half-sum kernel on sorted values.  Row t holds
     the sums lows + highs[t] and is named by its query q = -highs[t], not
-    by t.  Returns the low sums sorted into ``keys``, the queries sorted
-    into ``queries``, and per sorted query its row's least sum >= 0,
-    ``above``, and greatest sum < 0, ``below``.  A row with no sum >= 0
+    by t.  Returns the queries sorted into ``queries``, and per sorted
+    query its row's least sum >= 0, ``above``, and greatest sum < 0,
+    ``below``.  A row with no sum >= 0
     clips ``above`` to its greatest sum and one with no sum < 0 clips
     ``below`` to its least, so every entry is one of its row's sums, and
     the least |sum| of a row is the smaller of its |above| and |below|.
     Callers find a row by its query's value (``_first_row``).
 
     The queries ascend, so each search starts where the last one ended.
-    All four arrays are new: callers may overwrite them."""
+    All three arrays are new: callers may overwrite them."""
     import numpy as np
 
     keys = np.sort(lows)
@@ -117,7 +118,7 @@ def _meet(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, ...]:
     j -= 1
     below = keys.take(j, mode="clip")
     below -= queries
-    return keys, queries, above, below
+    return queries, above, below
 
 
 def _first_row(highs: np.ndarray, winners: np.ndarray) -> int:
@@ -345,13 +346,13 @@ def solve_mitm(inst: Instance) -> Solution:
     lows = _delta_table(c[1:h])
     lows += c[0]
     highs = _delta_table(c[h:])
-    keys, queries, above, below = _meet(lows, highs)
+    queries, above, below = _meet(lows, highs)
     # in place: each row's least |sum| lands in ``above``; the kernel's
     # arrays are freed before the row search allocates its own
     least = np.minimum(np.abs(above, out=above), np.abs(below, out=below), out=above)
     best = int(least.min())
     winners = queries[least == best]
-    del keys, queries, above, below, least
+    del queries, above, below, least
     t = _first_row(highs, winners)
     hd = int(highs[t])
     # each lows + hd is a signed sum of all the weights, so no int64 overflow
@@ -399,11 +400,9 @@ def solve_pruned(inst: Instance) -> Solution:
     node that both reach the parity, the larger mask is the answer.
     ``nodes_visited`` counts pops plus nonnegative minimal elements.
 
-    Without the parity stop the ascent pops every negative element of Q(n),
-    exactly half of it, so ``_full_sweep`` answers first in closed form
-    when the optimum is above the parity ("auto" runs it only inside the
-    bitset bound, and never the ascent).  Otherwise the ascent runs until
-    it records a node of the parity's delta.  It copies
+    When the optimum is above the parity, ``_full_sweep`` answers first in
+    closed form, the answer "auto" gives too.  Otherwise the ascent runs
+    until it records a node of the parity's delta.  It copies
     ``core.membership_table``'s cached 2**n-byte Q(n) table (16 MB at
     n = 24) into a bytearray whose nonzero entries are the Q members not
     reached yet, so one index answers both membership and the seen-set test.
@@ -414,9 +413,9 @@ def solve_pruned(inst: Instance) -> Solution:
     if n > TABLE_MAX_N:
         raise TooLarge(f"pruned search is capped at n = {TABLE_MAX_N}")
     minimal_deltas = _minimal_deltas(inst)
-    swept = _full_sweep(inst)
+    swept = _full_sweep(inst, minimal_deltas)
     if swept is not None:
-        return _closed_form_solution(inst, swept, minimal_deltas)
+        return swept
     parity = inst.total & 1
     full = (1 << n) - 1
     # A heap key is (-d << n) | mask, which pops in the order of (-d, mask)
@@ -463,15 +462,6 @@ def solve_pruned(inst: Instance) -> Solution:
     raise AssertionError("the ascent ended without its parity stop")
 
 
-def _closed_form_solution(inst: Instance, swept: tuple[int, int], deltas: list[int]) -> Solution:
-    """``solve_pruned``'s answer from ``_full_sweep``'s (mask, delta), with
-    no ascent; ``deltas`` is ``_minimal_deltas(inst)``, whose nonnegative
-    entries the ascent would record."""
-    # v* is above the parity, so no minimal element stops the ascent
-    nonneg_minimal = sum(d >= 0 for d in deltas)
-    return _make_solution(inst, *swept, "pruned", q_size(inst.n) // 2 + nonneg_minimal)
-
-
 def _cover_gains(c: tuple[int, ...]) -> list[tuple[int, int, int]]:
     """``cover_moves(len(c))`` as (flip, low, gain) triples: a mask u with
     u & flip == low is covered by u ^ flip, which sets bit flip ^ low and
@@ -515,29 +505,24 @@ def _vectorized_walk(w: np.ndarray, q: np.ndarray, minimal: list[int],
     raise AssertionError("no recorded element of Q(n) has the optimal delta")
 
 
-def _half_sums(c: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The signed sums ``lows`` of c[:h] (h = n // 2) and ``highs`` of
-    c[h:]: mask t << h | lo has delta lows[lo] + highs[t], and row t holds
-    the masks of high part t."""
-    h = len(c) // 2
-    return _delta_table(c[:h]), _delta_table(c[h:])
-
-
-def _full_sweep(inst: Instance, snapshots: list[int] | None = None) -> tuple[int, int] | None:
-    """The (mask, delta) that ``solve_pruned``'s ascent ends with, or None
-    when its parity stop will fire.
+def _full_sweep(inst: Instance, deltas: list[int],
+                snapshots: list[int] | None = None) -> Solution | None:
+    """``solve_pruned``'s answer without its ascent, or None when the
+    ascent's parity stop will fire.  ``deltas`` is ``_minimal_deltas(inst)``
+    and ``snapshots``, if given, ``_subset_sums(inst)``.
 
     Q(n) is convex in P(n) and delta never decreases along covers, so
     without the parity stop the ascent pops every negative element of Q(n)
     and records exactly the nonnegative ones that are minimal or have a
     negative lower cover in Q(n).  The optimum v* and the smallest mask
     with delta +v* come from ``dp``'s bitsets and backtrack when
-    ``n * (total + 1)`` is at most SWEEP_DP_MAX_CELLS (``snapshots``, if
-    given, is ``_subset_sums(inst)``), otherwise from ``_meet`` on the
-    signed sums of the low n // 2 weights and of the rest:
+    ``n * (total + 1)`` is at most SWEEP_DP_MAX_CELLS, otherwise from
+    ``_meet`` on the signed sums of the low n // 2 weights and of the rest:
     the smallest low mask of the first row that meets v*.  If v* is above
-    the total's parity, no element has delta 0, negation halves Q(n), and
-    the answer is the smallest recorded mask with delta v*.
+    the total's parity, no element has delta 0 and negation halves Q(n):
+    the ascent pops |Q(n)|/2 elements, records the nonnegative minimal
+    ones without stopping, and ends with the smallest recorded mask of
+    delta v*, the smallest element of Q(n) that it records at the optimum.
 
     v* is the least |delta| over all of P(n), so a lower cover of a mask
     with delta v* has gain 0 or at least 2 v*, and then negative delta.
@@ -556,15 +541,15 @@ def _full_sweep(inst: Instance, snapshots: list[int] | None = None) -> tuple[int
     """
     n, c, total = inst.n, inst.c, inst.total
     h = n // 2
-    halves = None
+    lows = None
     if n * (total + 1) <= SWEEP_DP_MAX_CELLS:
         snapshots = snapshots or _subset_sums(inst)
         if snapshots[-1] >> (total + 1) // 2 & 1:  # v* is the parity: no backtrack
             return None
         w, best = _dp_optimum(inst, snapshots)
     else:
-        halves = lows, highs = _half_sums(c)
-        _, queries, above, _ = _meet(lows, highs)
+        lows, highs = _delta_table(c[:h]), _delta_table(c[h:])
+        queries, above, _ = _meet(lows, highs)
         # negating every sign shows that v* is attained with delta +v*,
         # which the least sum >= 0 of that row gives: no need to look below 0
         best = int(abs(above).min())
@@ -581,22 +566,23 @@ def _full_sweep(inst: Instance, snapshots: list[int] | None = None) -> tuple[int
     # on masks of delta v*, exactly the moves of positive gain reach a
     # negative lower cover
     moves = [(flip, flip ^ low) for flip, low, gain in _cover_gains(c) if gain > 0]
-    if _recorded(w, q, minimal, moves):
-        return w, best
-    import numpy as np  # the walk, reached only with tied or zero weights
+    if not _recorded(w, q, minimal, moves):
+        import numpy as np  # the walk, reached only with tied or zero weights
 
-    lows, highs = halves or _half_sums(c)
-    order = lows.argsort()  # ties in no set order: sorted below
-    keys = lows.take(order)
-    # no sum lies in [0, v*), so row t's masks of delta v* are those at the
-    # sorted indices first[t] .. first[t] + counts[t] - 1 of the key v* - hd
-    targets = best - highs
-    first = np.searchsorted(keys, targets)
-    counts = np.searchsorted(keys, targets, "right") - first
-    p = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
-    w = np.sort(np.repeat(np.arange(len(highs)), counts) << h | order[p])
-    q = np.frombuffer(q, dtype=bool)
-    return _vectorized_walk(w[q[w]], q, minimal, moves), best
+        if lows is None:
+            lows, highs = _delta_table(c[:h]), _delta_table(c[h:])
+        order = lows.argsort()  # ties in no set order: sorted below
+        keys = lows.take(order)
+        # no sum lies in [0, v*), so row t's masks of delta v* are those at the
+        # sorted indices first[t] .. first[t] + counts[t] - 1 of the key v* - hd
+        targets = best - highs
+        first = np.searchsorted(keys, targets)
+        counts = np.searchsorted(keys, targets, "right") - first
+        p = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
+        ws = np.sort(np.repeat(np.arange(len(highs)), counts) << h | order[p])
+        table = np.frombuffer(q, dtype=bool)
+        w = _vectorized_walk(ws[table[ws]], table, minimal, moves)
+    return _make_solution(inst, w, best, "pruned", q_size(n) // 2 + sum(d >= 0 for d in deltas))
 
 
 # ---------------------------------------------------------------------------
@@ -691,10 +677,8 @@ def solve(inst: Instance, algo: str = "auto") -> Solution | None:
             return sol
     if n <= TABLE_MAX_N and cells <= SWEEP_DP_MAX_CELLS:
         snapshots = _subset_sums(inst)
-        swept = _full_sweep(inst, snapshots) if n >= 3 else None
-        if swept is not None:
-            return _closed_form_solution(inst, swept, deltas)
-        return solve_dp(inst, snapshots=snapshots)
+        swept = _full_sweep(inst, deltas, snapshots) if n >= 3 else None
+        return swept or solve_dp(inst, snapshots=snapshots)
     if n > TABLE_MAX_N and cells <= DP_MAX_CELLS:
         return solve_dp(inst)
     try:

@@ -394,9 +394,9 @@ def signed_sums(weights) -> list[int]:
 
 
 def full_sweep_by_bisect(inst):
-    """``solver._full_sweep`` in pure Python: the (mask, delta) that the
-    pruned ascent ends with when its parity stop never fires, or None when
-    it does.
+    """The (mask, delta) that the pruned ascent ends with when its parity
+    stop never fires, or None when it does: in pure Python, the mask and
+    delta of ``solver._full_sweep``'s ``Solution``.
 
     The optimum v* comes from the sorted signed sums of the low n // 2
     weights, bisected for each signed sum of the high ones (Horowitz &

@@ -538,6 +538,15 @@ CLI_SHA256 = [
     ("7cfede324634c9fd06c1e6fe37a26cb9edf72b454f934e62073fbb275a762489", "solve small10 --json"),
     ("a51521ce9d64eb5e5aa2ccc9415987b1735f333463b5bfa5a93f522927b0e8d3", "solve gap17 --json"),
     ("d3a17ad17da75b6844dad17fa36b0f530174ea472e297c0d9d61c1635305ce41", "solve walk11 --json"),
+    # inside the bitset bound auto and pruned share one closed form, byte for byte
+    ("7cfede324634c9fd06c1e6fe37a26cb9edf72b454f934e62073fbb275a762489",
+     "solve small10 --algo pruned --json"),
+    ("a51521ce9d64eb5e5aa2ccc9415987b1735f333463b5bfa5a93f522927b0e8d3",
+     "solve gap17 --algo pruned --json"),
+    ("d3a17ad17da75b6844dad17fa36b0f530174ea472e297c0d9d61c1635305ce41",
+     "solve walk11 --algo pruned --json"),
+    ("d32e60ec364ffcfce9a525e3e25c282ef6b58498d1c9c0be2481a11982039db1",
+     "solve gap18 --algo pruned --json"),
     # dp on its own, with the smallest mask of delta +v* it backtracks to
     ("fcfbfa98c867b860471cdabc298679de0060842917ee983dabe072f14c96801e",
      "solve gap18 --algo dp --json"),

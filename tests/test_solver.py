@@ -218,8 +218,8 @@ def _spy_pruned(monkeypatch):
     monkeypatch.setattr(solver, "bytearray", lambda t: copies.append(1) or bytearray(t), raising=False)
     full_sweep = solver._full_sweep
 
-    def spy(inst):
-        checks.append((len(pops), full_sweep(inst)))
+    def spy(inst, *args):
+        checks.append((len(pops), full_sweep(inst, *args)))
         return checks[-1][1]
 
     monkeypatch.setattr(solver, "_full_sweep", spy)
@@ -235,7 +235,7 @@ def _one_order(inst, sol, pops, copies, checks):
         assert copies == [1] and sol.abs_delta == inst.total % 2
         return "parity stop"
     assert not pops and not copies
-    assert swept == (swept[0], sol.delta) and sol.delta > inst.total % 2
+    assert swept == sol and sol.delta > inst.total % 2
     return "closed form"
 
 
@@ -342,12 +342,23 @@ def test_pruned_closed_form_at_every_n():
     for raw in cases:
         inst = normalize_instance(raw)
         subset, d, visited = oracles.pruned_ascent(raw)
-        got = solver._full_sweep(inst)
+        got = solver._full_sweep(inst, solver._minimal_deltas(inst))
         if d == inst.total % 2:
             assert got is None, raw
             continue
-        nonneg_minimal = sum(delta(v, inst) >= 0 for v in extremes(inst.n).minimal)
-        assert _outcome(inst, *got, q_size(inst.n) // 2 + nonneg_minimal) == (subset, d, visited), raw
+        assert (got.subset.indices, got.delta, got.nodes_visited) == (subset, d, visited), raw
+
+
+def _swept(inst):
+    # the closed form's (subset, delta), or None
+    sol = solver._full_sweep(inst, solver._minimal_deltas(inst))
+    return None if sol is None else (sol.subset, sol.delta)
+
+
+def _swept_by_bisect(inst):
+    # the pure-Python sweep's (mask, delta) as a (subset, delta) pair
+    got = oracles.full_sweep_by_bisect(inst)
+    return None if got is None else (solver._subset_from_mask(inst, got[0]), got[1])
 
 
 SWEEP_FAMILIES = {
@@ -377,9 +388,9 @@ def test_full_sweep_matches_bisect_oracle(dp_filter, monkeypatch):
         for name, draw in SWEEP_FAMILIES.items():
             for _ in range(4 if n <= 16 else 1):
                 inst = normalize_instance(draw(rng, n))
-                expected = oracles.full_sweep_by_bisect(inst)
+                expected = _swept_by_bisect(inst)
                 before = len(walks)
-                assert solver._full_sweep(inst) == expected, (name, inst.c)
+                assert _swept(inst) == expected, (name, inst.c)
                 answered += expected is not None
                 small = n <= 16 and n * (inst.total + 1) <= solver.SWEEP_DP_MAX_CELLS
                 small_walks += small and len(walks) > before
@@ -420,8 +431,8 @@ def test_closed_form_needs_one_candidate_without_ties(monkeypatch):
                 assert n * (inst.total + 1) > solver.SWEEP_DP_MAX_CELLS
                 if len(set(raw)) < n:
                     continue
-                got = solver._full_sweep(inst)
-                assert got == oracles.full_sweep_by_bisect(inst), (name, raw)
+                got = _swept(inst)
+                assert got == _swept_by_bisect(inst), (name, raw)
                 answered += got is not None
     assert not walks and answered > 40
 
@@ -438,7 +449,39 @@ def test_closed_form_walks_past_an_unrecorded_first_candidate(monkeypatch):
     sol = solve_pruned(inst)
     assert walks == [1]
     assert (sol.subset.indices, sol.delta, sol.nodes_visited) == ((1, 3, 9, 10, 16), 5, 41226)
-    assert solver._full_sweep(inst) == oracles.full_sweep_by_bisect(inst)
+    assert _swept(inst) == _swept_by_bisect(inst)
+
+
+@pytest.mark.parametrize("dp_filter", [True, False], ids=["dp-filter", "kernel-only"])
+def test_full_sweep_without_ties_answers_with_dp(dp_filter, monkeypatch):
+    # no two weights equal and none zero, inside the bitset bound: the
+    # closed form returns None exactly at a perfect partition, and dp's
+    # subset and delta otherwise, with v* read from the DP bitset or (filter
+    # off) from the half-sum kernel.  auto runs it once minfast has failed,
+    # so with no nonnegative minimal element: |Q(n)|/2 nodes
+    if not dp_filter:
+        monkeypatch.setattr(solver, "SWEEP_DP_MAX_CELLS", 0)
+    autos = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 24).flatmap(lambda n: st.lists(
+        st.integers(1, (1 << 22) // n**2 - 1), min_size=n, max_size=n, unique=True)))
+    def check(raw):
+        inst = normalize_instance(raw)
+        assert inst.n * (inst.total + 1) <= 1 << 22
+        dp = solve_dp(inst)
+        swept = solver._full_sweep(inst, solver._minimal_deltas(inst))
+        if dp.abs_delta == inst.total % 2:
+            assert swept is None, raw
+        else:
+            assert (swept.subset, swept.delta) == (dp.subset, dp.delta), raw
+        sol = solve(inst)
+        if sol.algorithm == "pruned":
+            autos.append(1)
+            assert sol.nodes_visited == q_size(inst.n) // 2, raw
+
+    check()
+    assert bool(autos) == dp_filter
 
 
 def _tie_heavy(rng, n):
@@ -706,16 +749,18 @@ def _outcome_or_none(sol):
 )
 def test_certificates_on_shared_deltas_match_their_own_pass(family, n, rng):
     # handing a certificate the caller's minimal-element deltas changes
-    # nothing, None results included; so does the closed form's count of
-    # nonnegative minimal elements, read from solve_pruned's own list
+    # nothing, None results included; nor does handing them to the closed
+    # form, whose count of nonnegative minimal elements reads that list
     inst = normalize_instance(SHARED_DELTA_FAMILIES[family](rng, n))
     deltas = solver._minimal_deltas(inst)
     for fast in (solve_min_fastpath, solve_corollary):
         assert _outcome_or_none(fast(inst, deltas=deltas)) == _outcome_or_none(fast(inst)), (
             fast.__name__, inst.c)
-    if n <= 16 and solver._full_sweep(inst) is not None:
+    swept = solver._full_sweep(inst, deltas) if n <= 16 else None
+    if swept is not None:
         nonneg_minimal = sum(delta(v, inst) >= 0 for v in extremes(n).minimal)
-        assert solve_pruned(inst).nodes_visited == q_size(n) // 2 + nonneg_minimal, inst.c
+        assert swept == solve_pruned(inst), inst.c
+        assert swept.nodes_visited == q_size(n) // 2 + nonneg_minimal, inst.c
 
 
 def _count_minimal_deltas(monkeypatch):
@@ -828,8 +873,7 @@ def test_meet_matches_outer_sums():
     for _ in range(300):
         lows = rng.integers(-6, 7, rng.integers(1, 9))
         highs = rng.integers(-14, 15, rng.integers(1, 9))
-        keys, queries, above, below = solver._meet(lows, highs)
-        assert keys.tolist() == sorted(lows.tolist())
+        queries, above, below = solver._meet(lows, highs)
         assert queries.tolist() == sorted((-highs).tolist())
         for q, up, down in zip(queries, above, below):
             row = lows - q  # the sums of the row of high sum -q
