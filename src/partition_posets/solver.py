@@ -480,31 +480,6 @@ def _recorded(w: int, q: bytes, minimal: list[int], moves: list[tuple[int, int]]
     return q[w] and (w in minimal or any(w & f == b and q[w ^ f] for f, b in moves))
 
 
-def _vectorized_walk(w: np.ndarray, q: np.ndarray, minimal: list[int],
-                     moves: list[tuple[int, int]]) -> int:
-    """The first recorded mask of ``w``, the ascending members of Q(n) with
-    delta v*, tested in numpy: ``_recorded`` on whole slices."""
-    import numpy as np
-
-    # one row per test: any(axis=0) then ORs whole rows, which numpy does
-    # faster than reducing many short rows
-    tests = np.array(moves, dtype=np.int64).reshape(-1, 2)
-    flip, bit = tests.T[:, :, None]
-    minimal = np.array(minimal)[:, None]
-    # ascending masks, in slices that double from 256 while each test's
-    # (tests x masks) temporaries stay within 2**_BLOCK_BITS cells: the
-    # answer is often among the first few of thousands of candidates
-    limit = (1 << _BLOCK_BITS) // (len(minimal) + len(tests))
-    start, size = 0, min(256, limit)
-    while start < len(w):
-        ws = w[start:start + size]
-        hit = (ws == minimal).any(axis=0) | (((ws & flip) == bit) & q[ws ^ flip]).any(axis=0)
-        if hit.any():
-            return int(ws[hit.argmax()])
-        start, size = start + size, min(2 * size, limit)
-    raise AssertionError("no recorded element of Q(n) has the optimal delta")
-
-
 def _full_sweep(inst: Instance, deltas: list[int],
                 snapshots: list[int] | None = None) -> Solution | None:
     """``solve_pruned``'s answer without its ascent, or None when the
@@ -534,10 +509,9 @@ def _full_sweep(inst: Instance, deltas: list[int],
     alternating vector +-+-..., whose delta would then be half the sum of
     its at least two lower covers' gains, so at least 2 v*.  So the
     smallest mask with delta v* is tested first, and without a tie or a
-    zero weight it is the answer.  Otherwise every mask with delta v* comes
-    at once from two searches of each row's v* - hd among the sorted low
-    sums, read through their argsort, and they are sorted and tested in
-    ascending slices.
+    zero weight it is the answer.  Otherwise the half-sum rows are scanned
+    in ascending blocks from that mask's row, each row's masks of delta v*
+    being those whose low sum is v* - hd, until a block holds a recorded one.
     """
     n, c, total = inst.n, inst.c, inst.total
     h = n // 2
@@ -571,17 +545,25 @@ def _full_sweep(inst: Instance, deltas: list[int],
 
         if lows is None:
             lows, highs = _delta_table(c[:h]), _delta_table(c[h:])
-        order = lows.argsort()  # ties in no set order: sorted below
-        keys = lows.take(order)
-        # no sum lies in [0, v*), so row t's masks of delta v* are those at the
-        # sorted indices first[t] .. first[t] + counts[t] - 1 of the key v* - hd
-        targets = best - highs
-        first = np.searchsorted(keys, targets)
-        counts = np.searchsorted(keys, targets, "right") - first
-        p = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
-        ws = np.sort(np.repeat(np.arange(len(highs)), counts) << h | order[p])
         table = np.frombuffer(q, dtype=bool)
-        w = _vectorized_walk(ws[table[ws]], table, minimal, moves)
+        # one row per test: any(axis=0) then ORs whole rows, which numpy
+        # does faster than reducing many short rows
+        flip, bit = np.array(moves, dtype=np.int64).reshape(-1, 2).T[:, :, None]
+        minimal = np.array(minimal)[:, None]
+        # blocks of half-sum rows whose (tests x masks) temporaries stay
+        # within 2**_BLOCK_BITS cells, from w's row: no earlier mask has delta v*
+        rows = max(1, (1 << _BLOCK_BITS) // (len(minimal) + len(flip)) >> h)
+        for t in range(w >> h, len(highs), rows):
+            # row t's masks of delta v* are t << h | lo with lows[lo] = v* - hd
+            ws = np.flatnonzero(lows == best - highs[t:t + rows, None]) + (t << h)
+            ws = ws[table[ws]]
+            hit = (ws == minimal).any(axis=0)
+            hit |= (((ws & flip) == bit) & table[ws ^ flip]).any(axis=0)
+            if hit.any():
+                w = int(ws[hit.argmax()])
+                break
+        else:
+            raise AssertionError("no recorded element of Q(n) has the optimal delta")
     return _make_solution(inst, w, best, "pruned", q_size(n) // 2 + sum(d >= 0 for d in deltas))
 
 

@@ -450,7 +450,7 @@ PIN_FILES = {
     "stop20": "155 459 675 522 246 978 152 493 973 530 123 670 248 811 221 404 438 226 629 293",
     # the closed form's fallback: a parity-gap instance at n = 17 whose
     # smallest mask of the optimal delta is left unrecorded by its ties and
-    # zeros, so the vectorized walk finds the answer
+    # zeros, so the walk over the half-sum rows from its row finds the answer
     "gap17": "60 85 55 0 15 15 45 50 55 50 35 5 0 5 15 70 15",
     # the same fallback within the DP filter: an auto -> pruned instance at
     # n = 11 whose first candidate, dp's backtrack, is unrecorded
@@ -499,9 +499,15 @@ PIN_FILES = {
                 "3082 2145 353 3281",
     # tied 30-bit weights at n = 16, beyond the DP filter: pruned's closed
     # form leaves its first candidate unrecorded and walks the half-sum rows
+    # in blocks from that candidate's row
     "tie16": "6322194214 6322194214 6322194214 6322194214 6322194214 6322194214 "
              "5791155993 5791155993 6322194214 5791155993 5791155993 6322194214 "
              "5791155993 6322194214 5791155993 5791155993",
+    # the walk's extremes at n = 23: equal weights within the DP filter,
+    # whose C(23, 12) masks of delta v* span many blocks of rows, and two
+    # tied 40-bit values beyond it, whose rows that meet v* lie sparse
+    "equal23": " ".join(["3"] * 23),
+    "two23": " ".join([str(7 << 40)] * 10 + [str(11 << 40)] * 13),
     # 30 weights of 40 bits, beyond pruned and the DP: auto's meet in the middle
     "mitm30": "104184211328 826339674379 294813333313 180340570947 14867171083 56876858340 "
               "884408767813 767314907615 880758768747 545561821547 617066411275 943874948300 "
@@ -569,6 +575,10 @@ CLI_SHA256 = [
     # the closed form's walk beyond the DP filter
     ("f8e7952d77e03267d4a9d145f42bbd74d7ae69dd2dbd8f966233eb50a615f7c9",
      "solve tie16 --algo pruned --json"),
+    ("d2565f66f08294382a9a1b66cb840ce96efd242aae632ff69cbc788d6e4d08f3",
+     "solve equal23 --algo pruned --json"),
+    ("10e440a4a89b8b28c13e5711c072f2c68169891f49718ddc269bc94a9c4d578c",
+     "solve two23 --algo pruned --json"),
     # the height cross-check's largest n, and the counting cap
     ("2d5bd67e760bf2923add998aac6341201f39688d29267a3a9cb2724585e7bd3f", "profile 12 --json"),
     ("838c28815fcf2ffee4ea108f5922a21e590406f035549cdc090da5e6556fde2f",

@@ -367,6 +367,9 @@ SWEEP_FAMILIES = {
     # C(n, (n + 1) // 2) masks reaching it
     "all_equal": lambda rng, n: [2 * rng.randint(1, 3)] * n,
     "zeros": lambda rng, n: [rng.choice((0, rng.randint(1, 60))) for _ in range(n)],
+    # two tied values: the rows that meet v* lie sparse among the half-sum
+    # rows past the first candidate's, so the walk scans many blocks
+    "two_values": lambda rng, n: [rng.choice((7, 11)) for _ in range(n)],
 }
 
 
@@ -375,9 +378,9 @@ def test_full_sweep_matches_bisect_oracle(dp_filter, monkeypatch):
     # the check against the pure-Python bisect sweep it replaced, with v*
     # and the first candidate read from the DP bitset and backtrack where
     # it is small, and with that filter off (the half-sum kernel throughout,
-    # in slices small enough that walks cross slice boundaries).  Either
-    # way a failed first candidate falls through to the numpy walk, also
-    # at n <= 16 within the DP filter
+    # in blocks of one half-sum row from n = 14 on, so that walks cross
+    # block boundaries).  Either way a failed first candidate falls through
+    # to the numpy walk, also at n <= 16 within the DP filter
     if not dp_filter:
         monkeypatch.setattr(solver, "SWEEP_DP_MAX_CELLS", 0)
         monkeypatch.setattr(solver, "_BLOCK_BITS", 10)
@@ -399,11 +402,13 @@ def test_full_sweep_matches_bisect_oracle(dp_filter, monkeypatch):
 
 
 def _spy_walk(monkeypatch):
-    # logs each call of the vectorized walk, the closed form's fallback once
-    # its first candidate, the smallest mask with the optimal delta, fails
+    # logs each walk, the closed form's fallback, which runs exactly when
+    # its first candidate, the smallest mask with the optimal delta, is not
+    # recorded
     walks = []
-    walk = solver._vectorized_walk
-    monkeypatch.setattr(solver, "_vectorized_walk", lambda *args: walks.append(1) or walk(*args))
+    recorded = solver._recorded
+    monkeypatch.setattr(solver, "_recorded",
+                        lambda *args: recorded(*args) or walks.append(1) or False)
     return walks
 
 
@@ -1330,19 +1335,31 @@ def test_beyond_table_paths_agree():
                 assert recompute(raw, sol.subset) == sol.delta
 
 
-def test_block_scan_memory_is_flat():
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_scan_memory_is_flat(monkeypatch):
     # 2**20-delta blocks keep the peak near 20 MB; a one-shot 2**24 table
     # would need about 320 MB
     inst = normalize_instance(PRUNED_FAMILIES["bits62"](random.Random(7), 24))
     q_membership_table(24)  # the cached table is not part of the scan
     for scan in (solve_brute, solve_q_enum):
-        tracemalloc.start()
-        try:
-            scan(inst)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: scan(inst))
         assert peak < 64 << 20, (scan.__name__, peak)
+    # the walk over 23 equal weights reads its C(23, 12) masks of delta v*
+    # in blocks of half-sum rows; holding them all, sorted, would take
+    # about 31 MB
+    equal = normalize_instance([3] * 23)
+    q_membership_table(23)
+    walks = _spy_walk(monkeypatch)
+    peak = _traced_peak(lambda: solver._full_sweep(equal, solver._minimal_deltas(equal)))
+    assert walks == [1] and peak < 4 << 20, peak
 
 
 def test_full_sweep_on_hard_instances():
